@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scsq_bench::{fig6, ExecMode, Scale};
 use scsq_core::HardwareSpec;
-use scsq_engine::columnar;
+use scsq_engine::{columnar, ArithOp, CmpOp};
 use scsq_net::{TorusDims, TorusNet, TorusParams};
 use scsq_ql::batch::Batch;
 use scsq_ql::column::{ColRow, Column, ColumnData, ColumnarBatch};
@@ -85,14 +85,14 @@ fn bench_column_kernels(c: &mut Criterion) {
         ));
         let mid = (n / 2) as i64;
         group.bench_with_input(BenchmarkId::new("map_add_i64", n), &ints, |b, col| {
-            b.iter(|| black_box(columnar::add_i64(col, 7)));
+            b.iter(|| black_box(columnar::arith_i64(col, ArithOp::Add, 7)));
         });
         group.bench_with_input(BenchmarkId::new("map_mul_f64", n), &floats, |b, col| {
-            b.iter(|| black_box(columnar::mul_f64(col, 1.0625)));
+            b.iter(|| black_box(columnar::arith_f64(col, ArithOp::Mul, 1.0625)));
         });
         group.bench_with_input(BenchmarkId::new("filter_take_i64", n), &ints, |b, col| {
             b.iter(|| {
-                let mask = columnar::cmp_lt_i64(col, mid).expect("int column");
+                let mask = columnar::cmp_mask_i64(col, CmpOp::Lt, mid).expect("int column");
                 let sel = columnar::filter_to_selection(&mask).expect("bool mask");
                 black_box(columnar::take(col, &sel))
             });

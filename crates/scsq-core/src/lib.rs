@@ -25,12 +25,11 @@
 //! ```
 //!
 //! For multi-client use (SCSQ's client manager serves many users on the
-//! front-end cluster), [`service::ScsqService`] runs a client manager on
-//! a background thread and accepts queries from any number of threads.
+//! front-end cluster), [`SessionHub`] shares one plan cache across any
+//! number of [`Session`]s, and [`ScsqdServer`] serves them over a socket.
 
 pub mod metrics;
 pub mod server;
-pub mod service;
 pub mod wire;
 
 pub use scsq_cluster::{AllocSeq, ClusterName, Environment, HardwareSpec, NodeId};
@@ -42,7 +41,6 @@ pub use scsq_engine::{
 pub use scsq_ql::{ArrayData, Catalog, SpHandle, Value};
 pub use scsq_sim::{LatencyHistogram, SimDur, SimTime, Span};
 pub use server::ScsqdServer;
-pub use service::ScsqService;
 pub use wire::{read_frame, write_frame, Client, Frame, FrameKind};
 
 use scsq_engine::ClientManager;
@@ -51,7 +49,7 @@ use scsq_engine::ClientManager;
 pub mod prelude {
     pub use crate::{
         ClusterName, HardwareSpec, NodeId, PreparedQuery, QueryResult, RunOptions, Scsq, ScsqError,
-        ScsqService, SimDur, SimTime, Value,
+        SimDur, SimTime, Value,
     };
 }
 

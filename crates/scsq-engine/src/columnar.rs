@@ -167,23 +167,6 @@ pub fn map_synthetic(c: &Column, f: MapFunc) -> Option<Column> {
     ))
 }
 
-/// Legacy spelling of [`arith_i64`] with [`ArithOp::Add`].
-pub fn add_i64(c: &Column, rhs: i64) -> Option<Column> {
-    arith_i64(c, ArithOp::Add, rhs)
-}
-
-/// Legacy spelling of [`arith_f64`] with [`ArithOp::Mul`] on a
-/// `Float64` column.
-pub fn mul_f64(c: &Column, rhs: f64) -> Option<Column> {
-    c.as_f64()?;
-    arith_f64(c, ArithOp::Mul, rhs)
-}
-
-/// Legacy spelling of [`cmp_mask_i64`] with [`CmpOp::Lt`].
-pub fn cmp_lt_i64(c: &Column, rhs: i64) -> Option<Column> {
-    cmp_mask_i64(c, CmpOp::Lt, rhs)
-}
-
 /// Collects the rows of a `Bool` column that are valid and true into a
 /// selection vector — the filter half of filter+gather. `None` when
 /// the column is not `Bool`-backed.
@@ -316,8 +299,8 @@ pub fn sum_f64(c: &Column) -> Option<f64> {
 
 // ---------------------------------------------------------------------
 // pub(crate) folds into the interpreter's own StageState accumulators.
-// Callers (`FusedChain::process_batch_columnar`) guarantee the columns
-// are all-valid — engine-built batches always are.
+// Callers (`FusedChain::walk`, on batches `FusedChain::admit` cleared)
+// guarantee the columns are all-valid — engine-built batches always are.
 // ---------------------------------------------------------------------
 
 /// Folds a whole `Int64` column into a sum/avg accumulator exactly as
@@ -672,25 +655,25 @@ mod tests {
     fn map_kernels_transform_whole_columns() {
         let c = ints(&[1, 2, 3]);
         assert_eq!(
-            add_i64(&c, 10).unwrap().as_i64(),
+            arith_i64(&c, ArithOp::Add, 10).unwrap().as_i64(),
             Some(&[11i64, 12, 13][..])
         );
         assert_eq!(
-            cmp_lt_i64(&c, 3).unwrap().as_bool(),
+            cmp_mask_i64(&c, CmpOp::Lt, 3).unwrap().as_bool(),
             Some(&[true, true, false][..])
         );
         let f = Column::new(ColumnData::Float64(vec![0.5, -1.0]));
         assert_eq!(
-            mul_f64(&f, 2.0).unwrap().as_f64(),
+            arith_f64(&f, ArithOp::Mul, 2.0).unwrap().as_f64(),
             Some(&[1.0f64, -2.0][..])
         );
-        assert!(add_i64(&f, 1).is_none());
+        assert!(arith_i64(&f, ArithOp::Add, 1).is_none());
     }
 
     #[test]
     fn filter_and_take_compose() {
         let c = ints(&[5, 1, 7, 2, 9]);
-        let sel = filter_to_selection(&cmp_lt_i64(&c, 5).unwrap()).unwrap();
+        let sel = filter_to_selection(&cmp_mask_i64(&c, CmpOp::Lt, 5).unwrap()).unwrap();
         assert_eq!(sel.rows(), &[1, 3]);
         assert_eq!(take(&c, &sel).as_i64(), Some(&[1i64, 2][..]));
     }
@@ -724,7 +707,7 @@ mod tests {
         assert_eq!(sum_i64(&c), Some(expected));
         // An all-true mask over the same validity keeps exactly the
         // valid rows, in order.
-        let mask = cmp_lt_i64(&c, n as i64).unwrap();
+        let mask = cmp_mask_i64(&c, CmpOp::Lt, n as i64).unwrap();
         let sel = filter_to_selection(&mask).unwrap();
         assert_eq!(sel.rows().len(), n - dead.len());
         assert!(dead.iter().all(|&d| !sel.rows().contains(&(d as u32))));
@@ -732,7 +715,7 @@ mod tests {
         assert!(gathered.all_valid());
         assert_eq!(sum_i64(&gathered), Some(expected));
         // Narrowing by a second mask at the word boundary composes.
-        let second = cmp_lt_i64(&c, 64).unwrap();
+        let second = cmp_mask_i64(&c, CmpOp::Lt, 64).unwrap();
         let narrowed = intersect_selection(&second, &sel).unwrap();
         assert_eq!(
             narrowed.rows().len(),
@@ -746,7 +729,7 @@ mod tests {
         // the empty selection must compose and gather to empty without
         // touching fold state.
         let c = ints(&(0..70).collect::<Vec<i64>>());
-        let mask = cmp_lt_i64(&c, 0).unwrap();
+        let mask = cmp_mask_i64(&c, CmpOp::Lt, 0).unwrap();
         let sel = filter_to_selection(&mask).unwrap();
         assert!(sel.rows().is_empty());
         let taken = take(&c, &sel);

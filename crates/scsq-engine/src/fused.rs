@@ -25,11 +25,14 @@ use crate::columnar;
 use crate::error::EngineError;
 use crate::funcs;
 use crate::ops::{
-    arith_apply, cmp_apply, AggKind, CmpOp, MapFunc, Pipeline, Stage, StageChain, StageState,
+    arith_apply, cmp_apply, AggKind, ArithOp, CmpOp, MapFunc, Pipeline, Stage, StageChain,
+    StageState,
 };
 use scsq_ql::column::{Column, SelectionVector, METRIC_COLUMNS};
-use scsq_ql::{Batch, ColumnarBatch, SpHandle, Value};
+use scsq_ql::{ColumnarBatch, SpHandle, Value};
 use scsq_sim::StateProbe;
+use std::cell::OnceCell;
+use std::sync::Arc;
 
 /// One compiled compute-cost operation. Only stages that charge CPU
 /// time appear; everything else is dropped at compile time.
@@ -148,28 +151,21 @@ type StageFn =
     fn(&mut StageState, Value, Option<SpHandle>, &mut Vec<Value>) -> Result<(), EngineError>;
 
 /// The fused executor: the interpreter's stage states driven by a
-/// pre-resolved jump table over reusable scratch buffers.
+/// pre-resolved jump table over reusable scratch buffers, plus the
+/// chain's columnar plans.
 #[derive(Debug)]
 pub struct FusedChain {
     chain: StageChain,
     ops: Vec<StageFn>,
     cur: Vec<Value>,
     nxt: Vec<Value>,
-    /// Whether columnar admission may apply at all: every stage has a
-    /// whole-column kernel (aggregate / `streamof` / `take` /
-    /// `bandwidth` / `map` / `arith` / `cmp` / `filter`) and the chain
-    /// ends in an absorbing aggregate, so a columnar pass never has to
-    /// reconstruct leftover tuples. Per-batch typing is checked by
-    /// [`FusedChain::columnar_admit`].
-    columnar_ok: bool,
-    /// Whether relay admission may apply: no absorber, every stage is a
-    /// re-emitting vectorizable stage (`streamof` / `take` / `arith` /
-    /// `cmp` / `filter`), and at least one actually transforms or
-    /// filters — the chain then rewrites a column and re-emits it
-    /// downstream as shared column rows instead of reconstructing
-    /// tuples. Per-batch typing is checked by
-    /// [`FusedChain::relay_admit_cols`].
-    relay_ok: bool,
+    /// How the chain runs whole columns ([`classify`]); `None` keeps
+    /// every batch on the per-element path.
+    shape: Option<Terminal>,
+    /// The chain bound to each input column type, computed on the first
+    /// batch of that type (`None` inside: that type declines). Boxed so
+    /// the per-element path's executor stays small.
+    plans: Box<[OnceCell<Option<Plan>>; COL_TYPES]>,
     /// Whether any stage charges modeled compute cost. Costly chains
     /// only admit batches whose elements share one marshaled size, so
     /// the runtime can charge the whole batch in bulk (same total, same
@@ -177,37 +173,66 @@ pub struct FusedChain {
     costly: bool,
 }
 
-/// A batch cleared for whole-column execution by
-/// [`FusedChain::columnar_admit`]: the transposed columns plus the two
-/// facts the runtime needs to charge the chain's modeled compute cost
-/// in bulk *before* running the kernels, mirroring the per-element
-/// path's charge-then-process order.
-#[derive(Debug)]
-pub struct ColumnarAdmit {
-    cols: ColumnarBatch,
-    /// Number of elements in the admitted batch.
-    pub rows: usize,
-    /// Marshaled size shared by every element, or 0 when the chain
-    /// charges no compute cost (then no size is needed — the cost walk
-    /// is empty either way).
-    pub elem_bytes: u64,
+/// How a columnar walk ends. A chain's shape is `Option<Terminal>`:
+/// `None` is scalar (per-element only), and the two variants are the
+/// only columnar shapes. They never overlap — `Fold` needs an absorber,
+/// `Emit` forbids one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Terminal {
+    /// Every stage up to an absorber (`Agg`, `Bandwidth`, `Quantile`)
+    /// has a whole-column kernel: the batch folds into the absorber's
+    /// state and nothing is emitted before end of stream.
+    Fold,
+    /// No absorber, only pass-through (`streamof`, `take`) and
+    /// rewriting (`arith`, `cmp`, `filter`) stages, at least one
+    /// rewrite: the walk returns the surviving column, which the runtime
+    /// forwards downstream as shared column rows.
+    Emit,
 }
 
-/// A batch cleared for relay execution by
-/// [`FusedChain::relay_admit_cols`]: a typed single-column view the
-/// chain will rewrite and re-emit downstream, plus the bulk
-/// cost-accounting facts (relay chains always contain a cost op, so
-/// the uniform-stride requirement always applies).
-#[derive(Debug)]
-pub struct RelayAdmit {
-    cols: ColumnarBatch,
-    /// Number of elements in the admitted batch.
-    pub rows: usize,
-    /// Marshaled size shared by every input element.
-    pub elem_bytes: u64,
+/// What one stage contributes to its chain's columnar shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StageKind {
+    /// No whole-column kernel (`window`, `radixcombine`).
+    Opaque,
+    /// `streamof` / `take`: rows pass through (`take` keeps a prefix).
+    Pass,
+    /// `map`: a synthetic-array kernel that may feed an absorber but
+    /// does not relay.
+    Map,
+    /// `arith` / `cmp` / `filter`: rewrites or narrows the column.
+    Rewrite,
+    /// An aggregate, `bandwidth` or `quantile`.
+    Absorber,
 }
 
-/// Column type flowing between stages during the admission walk.
+fn stage_kind(stage: &Stage) -> StageKind {
+    match stage {
+        Stage::StreamOf | Stage::Take { .. } => StageKind::Pass,
+        Stage::Map(_) => StageKind::Map,
+        Stage::Arith { .. } | Stage::Cmp { .. } | Stage::Filter { .. } => StageKind::Rewrite,
+        Stage::Agg(_) | Stage::Bandwidth | Stage::Quantile { .. } => StageKind::Absorber,
+        Stage::RadixCombine { .. } | Stage::Window(_) => StageKind::Opaque,
+    }
+}
+
+/// The stage classifier: a chain's columnar shape from its stage kinds
+/// alone. [`FusedChain::new`] and [`admission_verdicts`] both read it,
+/// so `explain` cannot drift from what admission does.
+fn classify(stages: &[Stage]) -> Option<Terminal> {
+    let kinds = || stages.iter().map(stage_kind);
+    if kinds().all(|k| k != StageKind::Opaque) && kinds().any(|k| k == StageKind::Absorber) {
+        Some(Terminal::Fold)
+    } else if kinds().all(|k| matches!(k, StageKind::Pass | StageKind::Rewrite))
+        && kinds().any(|k| k == StageKind::Rewrite)
+    {
+        Some(Terminal::Emit)
+    } else {
+        None
+    }
+}
+
+/// Column type flowing between stages during the admission type flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ColType {
     Int,
@@ -223,22 +248,30 @@ enum ColType {
     Other,
 }
 
+/// Number of [`ColType`] variants: the size of a chain's plan table.
+const COL_TYPES: usize = 8;
+
 /// The type a batch presents to the first stage: the three-column
 /// metric shape, a multi-column record, a typed single column, or the
 /// opaque fallback (which only `count` absorbs). Columns with invalid
 /// rows are opaque — scalar semantics have no notion of a masked row
 /// entering a chain.
 fn batch_col_type(cols: &ColumnarBatch) -> ColType {
+    let all_valid = || cols.columns().iter().all(|(_, c)| c.all_valid());
     if cols.width() == 3
         && METRIC_COLUMNS
             .iter()
             .zip(cols.columns())
             .all(|(want, (name, _))| name == want)
     {
-        return ColType::Metric;
+        return if all_valid() {
+            ColType::Metric
+        } else {
+            ColType::Other
+        };
     }
     if cols.width() > 1 {
-        return if cols.columns().iter().all(|(_, c)| c.all_valid()) {
+        return if all_valid() {
             ColType::Record
         } else {
             ColType::Other
@@ -255,87 +288,157 @@ fn batch_col_type(cols: &ColumnarBatch) -> ColType {
     }
 }
 
-/// One step of the admission type flow for a non-absorbing stage:
-/// the column type a stage emits given the type flowing into it, or
-/// `None` when the stage has no kernel for that type (the batch then
-/// falls back to the per-element path). Shared by the absorber and
-/// relay admission walks so the two lattices cannot drift apart.
-fn transform_type(state: &StageState, ty: ColType) -> Option<ColType> {
-    match state {
-        StageState::StreamOf | StageState::Take { .. } => Some(ty),
-        StageState::Map(_) => (ty == ColType::Synthetic).then_some(ty),
-        StageState::Arith { rhs, .. } => match (ty, rhs) {
-            (ColType::Int, Value::Integer(_)) => Some(ColType::Int),
-            (ColType::Int, Value::Real(_)) => Some(ColType::Float),
-            (ColType::Float, Value::Integer(_) | Value::Real(_)) => Some(ColType::Float),
-            _ => None,
-        },
-        StageState::Cmp { rhs, .. } | StageState::Filter { rhs, .. } => {
-            let ok = matches!(
-                (ty, rhs),
-                (
-                    ColType::Int | ColType::Float,
-                    Value::Integer(_) | Value::Real(_)
-                ) | (ColType::Str, Value::Str(_))
-            );
-            if !ok {
-                None
-            } else if matches!(state, StageState::Cmp { .. }) {
-                Some(ColType::Bool)
-            } else {
-                Some(ty)
-            }
+/// One stage of a columnar plan, bound to the column type flowing into
+/// it.
+#[derive(Debug, Clone, PartialEq)]
+enum ColOp {
+    /// `streamof`, `take`, `map` or the absorber: the stage's own state
+    /// says what to do.
+    State,
+    /// `arith` / `cmp`: the kernel rewrites the column.
+    Rewrite(Kernel),
+    /// `filter`: the kernel's mask narrows the selection.
+    Filter(Kernel),
+}
+
+/// A chain bound to one input column type: one op per stage, up to and
+/// including the absorber of a `Fold` chain.
+type Plan = Arc<[ColOp]>;
+
+/// An `arith` / `cmp` / `filter` constant resolved to the kernel its
+/// column type selects, mirroring the scalar stages' type arms: integer
+/// against integer stays exact, strings compare lexicographically, and
+/// every other admitted numeric pair widens to IEEE `f64`.
+#[derive(Debug, Clone, PartialEq)]
+enum Kernel {
+    ArithInt(ArithOp, i64),
+    ArithReal(ArithOp, f64),
+    CmpInt(CmpOp, i64),
+    CmpReal(CmpOp, f64),
+    CmpStr(CmpOp, String),
+}
+
+impl Kernel {
+    fn apply(&self, c: &Column) -> Option<Column> {
+        match self {
+            Kernel::ArithInt(op, k) => columnar::arith_i64(c, *op, *k),
+            Kernel::ArithReal(op, k) => columnar::arith_f64(c, *op, *k),
+            Kernel::CmpInt(op, k) => columnar::cmp_mask_i64(c, *op, *k),
+            Kernel::CmpReal(op, k) => columnar::cmp_mask_f64(c, *op, *k),
+            Kernel::CmpStr(op, s) => columnar::cmp_mask_utf8(c, *op, s),
         }
-        _ => None,
     }
+}
+
+/// Binds a chain to one input column type — the admission type flow,
+/// run once per type. Each stage needs a kernel for the type flowing
+/// into it: `arith` a numeric column (an integer column with a real
+/// constant widens to float, as the scalar stage does), `cmp`/`filter`
+/// a numeric column with a numeric constant or a string column with a
+/// string constant (`cmp` then yields booleans), `map` a synthetic
+/// column, aggregates other than `count` and `quantile` a numeric
+/// column, `bandwidth` the metric shape; `count` absorbs any type. The
+/// plan stops at the first absorber: later stages see only the
+/// end-of-stream flush. `None` sends batches of this type down the
+/// per-element path, which also reproduces type-error semantics.
+fn bind(stages: &[StageState], input: ColType) -> Option<Plan> {
+    let numeric = |ty| matches!(ty, ColType::Int | ColType::Float);
+    let mut ty = input;
+    let mut ops = Vec::with_capacity(stages.len());
+    for state in stages {
+        let op = match state {
+            StageState::StreamOf | StageState::Take { .. } => ColOp::State,
+            StageState::Map(_) if ty == ColType::Synthetic => ColOp::State,
+            StageState::Arith { op, rhs } => ColOp::Rewrite(match (ty, rhs) {
+                (ColType::Int, Value::Integer(k)) => Kernel::ArithInt(*op, *k),
+                (ColType::Int | ColType::Float, Value::Integer(_) | Value::Real(_)) => {
+                    ty = ColType::Float;
+                    Kernel::ArithReal(*op, rhs.as_real()?)
+                }
+                _ => return None,
+            }),
+            StageState::Cmp { op, rhs } | StageState::Filter { op, rhs } => {
+                let kernel = match (ty, rhs) {
+                    (ColType::Int, Value::Integer(k)) => Kernel::CmpInt(*op, *k),
+                    (ColType::Int | ColType::Float, Value::Integer(_) | Value::Real(_)) => {
+                        Kernel::CmpReal(*op, rhs.as_real()?)
+                    }
+                    (ColType::Str, Value::Str(s)) => Kernel::CmpStr(*op, s.clone()),
+                    _ => return None,
+                };
+                if matches!(state, StageState::Filter { .. }) {
+                    ColOp::Filter(kernel)
+                } else {
+                    ty = ColType::Bool;
+                    ColOp::Rewrite(kernel)
+                }
+            }
+            StageState::Agg {
+                kind: AggKind::Count,
+                ..
+            } => return absorb(ops),
+            StageState::Agg { .. } | StageState::Quantile { .. } if numeric(ty) => {
+                return absorb(ops)
+            }
+            StageState::Bandwidth { .. } if ty == ColType::Metric => return absorb(ops),
+            _ => return None,
+        };
+        ops.push(op);
+    }
+    Some(ops.into())
+}
+
+/// Closes a plan at its absorber.
+fn absorb(mut ops: Vec<ColOp>) -> Option<Plan> {
+    ops.push(ColOp::State);
+    Some(ops.into())
+}
+
+/// A batch cleared for the columnar walk by [`FusedChain::admit`]: the
+/// columns, the chain's plan for their type, and the facts the runtime
+/// needs to charge the modeled compute cost *before* the walk runs,
+/// mirroring the per-element path's charge-then-process order.
+#[derive(Debug)]
+pub struct Admitted {
+    cols: ColumnarBatch,
+    plan: Plan,
+    /// Number of elements in the batch.
+    pub rows: usize,
+    /// Marshaled size shared by every element, or 0 when the chain
+    /// charges no compute cost (then no size is needed — the cost walk
+    /// is empty either way).
+    pub elem_bytes: u64,
+    /// How the walk ends: fold into the absorber, or emit survivors.
+    pub terminal: Terminal,
+}
+
+/// What [`FusedChain::walk`] leaves behind.
+#[derive(Debug)]
+pub enum Walked {
+    /// The batch folded into the absorber's state — exactly what feeding
+    /// the elements one at a time would have left (see the fold
+    /// contracts in [`crate::columnar`]).
+    Folded,
+    /// The surviving rows as one column named `"v"`, plus the
+    /// output-row → input-row map: `None` when the output is a prefix
+    /// of the input (only dense stages and `take` ran), `Some(sel)` when
+    /// output row `j` came from input row `sel.rows()[j]` (a filter
+    /// ran). The runtime needs the map to emit each survivor at the
+    /// finish time of the input element that produced it, exactly as
+    /// the per-element path does.
+    Emitted(ColumnarBatch, Option<SelectionVector>),
 }
 
 impl FusedChain {
     /// Instantiates runtime state for a fused program.
     pub fn new(program: &FusedProgram) -> FusedChain {
-        let ops = program.stages.iter().map(resolve).collect();
-        let vectorizable = |s: &Stage| {
-            matches!(
-                s,
-                Stage::Agg(_)
-                    | Stage::StreamOf
-                    | Stage::Take { .. }
-                    | Stage::Bandwidth
-                    | Stage::Quantile { .. }
-                    | Stage::Map(_)
-                    | Stage::Arith { .. }
-                    | Stage::Cmp { .. }
-                    | Stage::Filter { .. }
-            )
-        };
-        let absorber =
-            |s: &Stage| matches!(s, Stage::Agg(_) | Stage::Bandwidth | Stage::Quantile { .. });
-        let columnar_ok =
-            program.stages.iter().all(vectorizable) && program.stages.iter().any(absorber);
-        let relayable = |s: &Stage| {
-            matches!(
-                s,
-                Stage::StreamOf
-                    | Stage::Take { .. }
-                    | Stage::Arith { .. }
-                    | Stage::Cmp { .. }
-                    | Stage::Filter { .. }
-            )
-        };
-        let transform = |s: &Stage| {
-            matches!(
-                s,
-                Stage::Arith { .. } | Stage::Cmp { .. } | Stage::Filter { .. }
-            )
-        };
-        let relay_ok = program.stages.iter().all(relayable) && program.stages.iter().any(transform);
         FusedChain {
             chain: StageChain::from_stages(&program.stages),
-            ops,
+            ops: program.stages.iter().map(resolve).collect(),
             cur: Vec::new(),
             nxt: Vec::new(),
-            columnar_ok,
-            relay_ok,
+            shape: classify(&program.stages),
+            plans: Box::new(std::array::from_fn(|_| OnceCell::new())),
             costly: !program.cost_ops.is_empty(),
         }
     }
@@ -381,435 +484,117 @@ impl FusedChain {
         Ok(())
     }
 
-    /// Feeds a whole delivered batch through the chain as columns,
-    /// dispatching once per column instead of once per element.
-    ///
-    /// Returns `Ok(true)` when the batch was absorbed columnar-ly —
-    /// the chain's stage states then hold exactly what feeding the
-    /// elements one at a time would have left (see the fold contracts
-    /// in [`crate::columnar`]) and, because the chain ends in an
-    /// absorbing aggregate, nothing is emitted before end of stream.
-    /// Returns `Ok(false)` without touching any state when the chain
-    /// or the batch's column shape is not vectorizable; the caller
-    /// falls back to the per-element path, which also reproduces
-    /// type-error semantics for ill-typed runs.
-    ///
-    /// # Errors
-    ///
-    /// The same error the per-element path would raise on the first
-    /// failing element (only `bandwidth` over malformed samples can
-    /// fail on a vectorizable shape).
-    pub fn process_batch_columnar(&mut self, batch: &Batch) -> Result<bool, EngineError> {
-        match self.columnar_admit(batch) {
-            Some(admit) => {
-                self.process_admitted(admit)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Decides, without mutating anything, whether a delivered batch
-    /// qualifies for whole-column execution, and if so returns the
-    /// transposed columns plus the bulk cost-accounting facts.
-    ///
-    /// Admission runs the same type flow the kernels implement: the
-    /// batch transposes to a typed column (`Int`/`Float`/`Bool`/
-    /// `Str`/`Synthetic`, the three-column metric shape, or an opaque
-    /// fallback), and each stage must have a kernel for the type
-    /// flowing into it — `arith` needs a numeric column (an integer
-    /// column with a real constant widens to float, as the scalar stage
-    /// does), `cmp`/`filter` need a numeric column with a numeric
-    /// constant or a string column with a string constant, `map` needs
-    /// a synthetic column, aggregates other than `count` need a numeric
-    /// column, `bandwidth` needs the metric shape. `count` absorbs any
-    /// type. The walk stops at the first absorber; stages after it
-    /// never see elements mid-stream, only the end-of-stream flush.
-    ///
-    /// When any stage charges modeled compute cost the elements must
-    /// additionally share one marshaled size, so the runtime can charge
-    /// `rows × cost(elem_bytes)` in one bulk call — the same total the
-    /// per-element walk accrues. `None` means the caller must fall back
-    /// to the per-element path (which also reproduces type-error
-    /// semantics for ill-typed runs).
-    pub fn columnar_admit(&self, batch: &Batch) -> Option<ColumnarAdmit> {
-        if !self.columnar_ok || batch.len() < 2 {
+    /// Decides, without mutating any stage state, whether a batch runs
+    /// as whole columns: the chain has a columnar shape, the batch is
+    /// non-empty, the chain's plan for the batch's column type exists
+    /// (see `bind`), and — when any stage charges modeled compute
+    /// cost — every element marshals to one size, so the runtime can
+    /// charge `rows × cost(elem_bytes)` in one bulk call, the same total
+    /// the per-element walk accrues. `None` means the caller falls back
+    /// to the per-element path.
+    pub fn admit(&self, cols: &ColumnarBatch) -> Option<Admitted> {
+        let terminal = self.shape?;
+        if cols.is_empty() {
             return None;
         }
-        self.columnar_admit_cols(&ColumnarBatch::from_batch(batch))
-    }
-
-    /// [`FusedChain::columnar_admit`] over an already-transposed batch
-    /// — the entry the runtime uses for relayed columns, where the
-    /// columns arrive shared from the upstream chain and transposing
-    /// again would waste the hand-off.
-    pub fn columnar_admit_cols(&self, cols: &ColumnarBatch) -> Option<ColumnarAdmit> {
-        if !self.columnar_ok || cols.is_empty() {
-            return None;
-        }
-        let initial = batch_col_type(cols);
-        let mut ty = initial;
-        let mut admitted = false;
-        for state in &self.chain.stages {
-            match state {
-                StageState::Agg { kind, .. } => {
-                    if *kind != AggKind::Count && !matches!(ty, ColType::Int | ColType::Float) {
-                        return None;
-                    }
-                    admitted = true;
-                    break;
-                }
-                StageState::Bandwidth { .. } => {
-                    if ty != ColType::Metric || !cols.columns().iter().all(|(_, c)| c.all_valid()) {
-                        return None;
-                    }
-                    admitted = true;
-                    break;
-                }
-                StageState::Quantile { .. } => {
-                    if !matches!(ty, ColType::Int | ColType::Float) {
-                        return None;
-                    }
-                    admitted = true;
-                    break;
-                }
-                other => ty = transform_type(other, ty)?,
-            }
-        }
-        if !admitted {
-            return None;
-        }
+        let ty = batch_col_type(cols);
+        let plan = self.plans[ty as usize]
+            .get_or_init(|| bind(&self.chain.stages, ty))
+            .clone()?;
         let elem_bytes = if self.costly {
-            uniform_elem_bytes(cols, initial)?
+            uniform_elem_bytes(cols, ty)?
         } else {
             0
         };
-        Some(ColumnarAdmit {
+        Some(Admitted {
             rows: cols.rows(),
             cols: cols.clone(),
+            plan,
             elem_bytes,
+            terminal,
         })
-    }
-
-    /// Decides, without mutating anything, whether an already-transposed
-    /// batch qualifies for relay execution: the chain re-emits (no
-    /// absorber, [`relay_ok`](FusedChain) shape), the batch is one
-    /// all-valid typed column, the type flow clears every stage, and the
-    /// elements share one marshaled stride (relay chains always charge
-    /// compute cost, so bulk accounting needs it). The admitted batch
-    /// runs through [`FusedChain::process_relayed`].
-    pub fn relay_admit_cols(&self, cols: &ColumnarBatch) -> Option<RelayAdmit> {
-        if !self.relay_ok || cols.is_empty() {
-            return None;
-        }
-        let initial = batch_col_type(cols);
-        if !matches!(
-            initial,
-            ColType::Int | ColType::Float | ColType::Bool | ColType::Str | ColType::Synthetic
-        ) {
-            return None;
-        }
-        let mut ty = initial;
-        for state in &self.chain.stages {
-            ty = transform_type(state, ty)?;
-        }
-        let elem_bytes = uniform_elem_bytes(cols, initial)?;
-        Some(RelayAdmit {
-            rows: cols.rows(),
-            cols: cols.clone(),
-            elem_bytes,
-        })
-    }
-
-    /// Runs a relay-admitted batch through the chain as whole columns
-    /// and returns the surviving rows as a fresh single-column batch
-    /// (named `"v"`), ready to travel downstream as shared column rows.
-    ///
-    /// The second return value maps output rows to input rows: `None`
-    /// means the output is a prefix of the input (only dense stages and
-    /// `take` ran), `Some(sel)` means output row `j` came from input
-    /// row `sel.rows()[j]` (a filter ran). The caller needs the mapping
-    /// to emit each survivor at the finish time of the *input* element
-    /// that produced it, exactly as the per-element path does.
-    ///
-    /// The caller must have charged the per-element compute cost
-    /// already (charge-then-process, as everywhere else).
-    pub fn process_relayed(
-        &mut self,
-        admit: RelayAdmit,
-    ) -> (ColumnarBatch, Option<SelectionVector>) {
-        let mut cur: Column = admit.cols.single().expect("relay admits single column");
-        let mut sel: Option<SelectionVector> = None;
-        let StageChain { stages, tally, .. } = &mut self.chain;
-        for (si, state) in stages.iter_mut().enumerate() {
-            let live_in = sel.as_ref().map_or(cur.len(), SelectionVector::len) as u64;
-            match state {
-                StageState::StreamOf => {}
-                StageState::Map(f) => {
-                    cur = columnar::map_synthetic(&cur, *f).expect("admitted: synthetic column");
-                }
-                StageState::Arith { op, rhs } => {
-                    cur = match rhs {
-                        Value::Integer(k) if cur.as_i64().is_some() => {
-                            columnar::arith_i64(&cur, *op, *k).expect("admitted: integer column")
-                        }
-                        _ => {
-                            let k = rhs.as_real().expect("admitted: numeric constant");
-                            columnar::arith_f64(&cur, *op, k).expect("admitted: numeric column")
-                        }
-                    };
-                }
-                StageState::Cmp { op, rhs } => {
-                    cur = cmp_mask(&cur, *op, rhs);
-                }
-                StageState::Filter { op, rhs } => {
-                    let mask = cmp_mask(&cur, *op, rhs);
-                    sel = Some(match sel.take() {
-                        Some(s) => columnar::intersect_selection(&mask, &s)
-                            .expect("cmp kernels produce Bool masks"),
-                        None => columnar::filter_to_selection(&mask)
-                            .expect("cmp kernels produce Bool masks"),
-                    });
-                }
-                StageState::Take { remaining } => match &mut sel {
-                    Some(s) => {
-                        let k = (s.len() as u64).min(*remaining);
-                        *remaining -= k;
-                        s.truncate(k as usize);
-                    }
-                    None => {
-                        let k = (cur.len() as u64).min(*remaining);
-                        *remaining -= k;
-                        cur = cur.slice(0, k as usize);
-                    }
-                },
-                _ => unreachable!("relay admission excludes absorbing and stateful stages"),
-            }
-            if let Some(t) = tally.get_mut(si) {
-                let live_out = sel.as_ref().map_or(cur.len(), SelectionVector::len) as u64;
-                t.calls += 1;
-                t.elems_in += live_in;
-                t.elems_out += live_out;
-            }
-        }
-        let out = match &sel {
-            // Compact survivors once at the end: dense stages upstream
-            // computed dead rows but never materialized them.
-            Some(s) => columnar::take(&cur, s),
-            None => cur,
-        };
-        (ColumnarBatch::new(vec![("v".to_string(), out)]), sel)
     }
 
     /// Runs an admitted batch through the chain as whole columns. The
-    /// caller must have charged the bulk compute cost already (the
-    /// per-element path charges each element before it enters the
-    /// chain, so charge-then-process keeps the orders aligned).
+    /// caller must have charged the compute cost already.
     ///
-    /// Transform stages rewrite the column; `filter` narrows a
-    /// selection vector over the *original* row space instead of
-    /// gathering survivors, so a chain of filters is mask intersection
-    /// and the terminal fold visits survivors by index. Dense stages
-    /// after a filter keep operating on all rows — dead rows are
-    /// computed and never read, which is cheaper than gathering and
-    /// cannot fail on an admitted type.
+    /// Rewrites replace the column; `filter` narrows a selection vector
+    /// over the *original* row space instead of gathering survivors, so
+    /// a chain of filters is mask intersection, the fold visits
+    /// survivors by index, and an emitted column is gathered once at the
+    /// end. Dense stages after a filter keep operating on all rows —
+    /// dead rows are computed and never read, which is cheaper than
+    /// gathering and cannot fail on an admitted type. A multi-column
+    /// batch (the metric triple or a record) meets only pass-through
+    /// stages and `count`/`bandwidth`: its first column carries the row
+    /// count, and `bandwidth` reads the metric columns over the same
+    /// prefix.
     ///
     /// # Errors
     ///
     /// The same error the per-element path would raise on the first
     /// failing element (`bandwidth` over malformed samples or
     /// `quantile` over negative values on an admitted shape).
-    pub fn process_admitted(&mut self, admit: ColumnarAdmit) -> Result<(), EngineError> {
-        let cols = admit.cols;
-        if cols.width() != 1 {
-            return self.process_multi_columns(cols);
-        }
-        let mut cur: Column = cols.single().expect("width checked above");
+    pub fn walk(&mut self, admit: Admitted) -> Result<Walked, EngineError> {
+        let Admitted {
+            cols,
+            plan,
+            terminal,
+            ..
+        } = admit;
+        let lead = cols.columns().first().map(|(name, _)| name.as_str());
+        let mut cur = bound(lead.and_then(|name| cols.column(name)));
         let mut sel: Option<SelectionVector> = None;
         let StageChain { stages, tally, .. } = &mut self.chain;
-        for (si, state) in stages.iter_mut().enumerate() {
+        for (si, (op, state)) in plan.iter().zip(stages.iter_mut()).enumerate() {
             // Semantic element counts for explain-analyze: what the
-            // per-element path would have fed this stage (survivors of
-            // the selection so far).
-            let live_in = sel.as_ref().map_or(cur.len(), SelectionVector::len) as u64;
-            match state {
-                StageState::StreamOf => {}
-                StageState::Map(f) => {
-                    cur = columnar::map_synthetic(&cur, *f).expect("admitted: synthetic column");
+            // per-element path would have fed this stage.
+            let live_in = live(&cur, sel.as_ref());
+            let mut folded = false;
+            match (op, state) {
+                (ColOp::Rewrite(k), _) => cur = bound(k.apply(&cur)),
+                (ColOp::Filter(k), _) => {
+                    let mask = bound(k.apply(&cur));
+                    sel = Some(bound(match &sel {
+                        Some(s) => columnar::intersect_selection(&mask, s),
+                        None => columnar::filter_to_selection(&mask),
+                    }));
                 }
-                StageState::Arith { op, rhs } => {
-                    cur = match rhs {
-                        Value::Integer(k) if cur.as_i64().is_some() => {
-                            columnar::arith_i64(&cur, *op, *k).expect("admitted: integer column")
-                        }
-                        _ => {
-                            let k = rhs.as_real().expect("admitted: numeric constant");
-                            columnar::arith_f64(&cur, *op, k).expect("admitted: numeric column")
-                        }
-                    };
+                (ColOp::State, StageState::StreamOf) => {}
+                (ColOp::State, StageState::Map(f)) => {
+                    cur = bound(columnar::map_synthetic(&cur, *f));
                 }
-                StageState::Cmp { op, rhs } => {
-                    cur = cmp_mask(&cur, *op, rhs);
-                }
-                StageState::Filter { op, rhs } => {
-                    let mask = cmp_mask(&cur, *op, rhs);
-                    sel = Some(match sel.take() {
-                        Some(s) => columnar::intersect_selection(&mask, &s)
-                            .expect("cmp kernels produce Bool masks"),
-                        None => columnar::filter_to_selection(&mask)
-                            .expect("cmp kernels produce Bool masks"),
-                    });
-                }
-                StageState::Take { remaining } => match &mut sel {
-                    Some(s) => {
-                        let k = (s.len() as u64).min(*remaining);
-                        *remaining -= k;
-                        s.truncate(k as usize);
-                    }
-                    None => {
-                        let k = (cur.len() as u64).min(*remaining);
-                        *remaining -= k;
-                        cur = cur.slice(0, k as usize);
-                    }
-                },
-                StageState::Agg {
-                    kind,
-                    count,
-                    sum_int,
-                    sum_real,
-                    saw_real,
-                    best,
-                } => {
-                    match kind {
-                        AggKind::Count => {
-                            *count += sel.as_ref().map_or(cur.len(), SelectionVector::len) as i64;
-                        }
-                        AggKind::Sum | AggKind::Avg => {
-                            if let Some(xs) = cur.as_i64() {
-                                match &sel {
-                                    Some(s) => columnar::fold_sum_i64_sel(count, sum_int, xs, s),
-                                    None => columnar::fold_sum_i64(count, sum_int, xs),
-                                }
-                            } else {
-                                let xs = cur.as_f64().expect("admitted: numeric column");
-                                match &sel {
-                                    Some(s) => {
-                                        columnar::fold_sum_f64_sel(count, sum_real, saw_real, xs, s)
-                                    }
-                                    None => columnar::fold_sum_f64(count, sum_real, saw_real, xs),
-                                }
-                            }
-                        }
-                        AggKind::Max | AggKind::Min => {
-                            let maximize = *kind == AggKind::Max;
-                            if let Some(xs) = cur.as_i64() {
-                                match &sel {
-                                    Some(s) => {
-                                        columnar::fold_best_i64_sel(count, best, xs, s, maximize)
-                                    }
-                                    None => columnar::fold_best_i64(count, best, xs, maximize),
-                                }
-                            } else {
-                                let xs = cur.as_f64().expect("admitted: numeric column");
-                                match &sel {
-                                    Some(s) => {
-                                        columnar::fold_best_f64_sel(count, best, xs, s, maximize)
-                                    }
-                                    None => columnar::fold_best_f64(count, best, xs, maximize),
-                                }
-                            }
-                        }
-                    }
-                    if let Some(t) = tally.get_mut(si) {
-                        t.calls += 1;
-                        t.elems_in += live_in;
-                    }
-                    return Ok(());
-                }
-                StageState::Quantile { hist, .. } => {
-                    if let Some(xs) = cur.as_i64() {
-                        match &sel {
-                            Some(s) => columnar::fold_quantile_i64_sel(hist, xs, s)?,
-                            None => columnar::fold_quantile_i64(hist, xs)?,
-                        }
-                    } else {
-                        let xs = cur.as_f64().expect("admitted: numeric column");
-                        match &sel {
-                            Some(s) => columnar::fold_quantile_f64_sel(hist, xs, s)?,
-                            None => columnar::fold_quantile_f64(hist, xs)?,
-                        }
-                    }
-                    if let Some(t) = tally.get_mut(si) {
-                        t.calls += 1;
-                        t.elems_in += live_in;
-                    }
-                    return Ok(());
-                }
-                _ => unreachable!("admission excludes non-vectorizable stages"),
-            }
-            if let Some(t) = tally.get_mut(si) {
-                let live_out = sel.as_ref().map_or(cur.len(), SelectionVector::len) as u64;
-                t.calls += 1;
-                t.elems_in += live_in;
-                t.elems_out += live_out;
-            }
-        }
-        unreachable!("admission implies an absorber terminates the walk")
-    }
-
-    /// The multi-column walk: parallel columns — the metric triple or a
-    /// record batch — flow untransformed (admission declines transform
-    /// stages on multi-column batches) through pass-through stages into
-    /// `bandwidth` or `count`.
-    fn process_multi_columns(&mut self, cols: ColumnarBatch) -> Result<(), EngineError> {
-        let mut view = cols;
-        let StageChain { stages, tally, .. } = &mut self.chain;
-        for (si, state) in stages.iter_mut().enumerate() {
-            let live_in = view.rows() as u64;
-            match state {
-                StageState::StreamOf => {}
-                StageState::Take { remaining } => {
-                    let k = (view.rows() as u64).min(*remaining);
+                (ColOp::State, StageState::Take { remaining }) => {
+                    let k = live_in.min(*remaining);
                     *remaining -= k;
-                    view = view.slice(0, k as usize);
-                }
-                StageState::Agg { count, .. } => {
-                    *count += view.rows() as i64;
-                    if let Some(t) = tally.get_mut(si) {
-                        t.calls += 1;
-                        t.elems_in += live_in;
+                    match &mut sel {
+                        Some(s) => s.truncate(k as usize),
+                        None => cur = cur.slice(0, k as usize),
                     }
-                    return Ok(());
                 }
-                StageState::Bandwidth { bytes, last_nanos } => {
-                    let col = |name| view.column(name).expect("admitted: metric columns present");
-                    let (channel, time_ns, sample_bytes) = (
-                        col(METRIC_COLUMNS[0]),
-                        col(METRIC_COLUMNS[1]),
-                        col(METRIC_COLUMNS[2]),
-                    );
-                    columnar::fold_bandwidth(
-                        bytes,
-                        last_nanos,
-                        channel.as_i64().expect("metric columns are Int64"),
-                        time_ns.as_i64().expect("metric columns are Int64"),
-                        sample_bytes.as_i64().expect("metric columns are Int64"),
-                    )?;
-                    if let Some(t) = tally.get_mut(si) {
-                        t.calls += 1;
-                        t.elems_in += live_in;
-                    }
-                    return Ok(());
+                (ColOp::State, absorber) => {
+                    fold(absorber, &cur, sel.as_ref(), &cols)?;
+                    folded = true;
                 }
-                _ => unreachable!("admission excludes transforms on metric batches"),
             }
             if let Some(t) = tally.get_mut(si) {
                 t.calls += 1;
                 t.elems_in += live_in;
-                t.elems_out += view.rows() as u64;
+                if !folded {
+                    t.elems_out += live(&cur, sel.as_ref());
+                }
             }
         }
-        unreachable!("admission implies an absorber terminates the walk")
+        Ok(match terminal {
+            Terminal::Fold => Walked::Folded,
+            Terminal::Emit => {
+                let out = match &sel {
+                    Some(s) => columnar::take(&cur, s),
+                    None => cur,
+                };
+                Walked::Emitted(ColumnarBatch::new(vec![("v".to_string(), out)]), sel)
+            }
+        })
     }
 
     /// Signals end of stream; aggregates flush. Delegates to the
@@ -836,21 +621,98 @@ impl FusedChain {
     }
 }
 
-/// Dispatches an admitted comparison to the kernel matching the scalar
-/// `cmp` stage's type arms: integer column against an integer constant
-/// compares exactly, strings compare lexicographically, every other
-/// admitted pair widens to IEEE `f64`.
-fn cmp_mask(cur: &Column, op: CmpOp, rhs: &Value) -> Column {
-    match rhs {
-        Value::Integer(k) if cur.as_i64().is_some() => {
-            columnar::cmp_mask_i64(cur, op, *k).expect("admitted: integer column")
-        }
-        Value::Str(s) => columnar::cmp_mask_utf8(cur, op, s).expect("admitted: string column"),
-        _ => {
-            let k = rhs.as_real().expect("admitted: numeric constant");
-            columnar::cmp_mask_f64(cur, op, k).expect("admitted: numeric column")
-        }
+/// Rows still live: the selection's survivors, or the whole column.
+fn live(cur: &Column, sel: Option<&SelectionVector>) -> u64 {
+    sel.map_or(cur.len(), SelectionVector::len) as u64
+}
+
+/// The walk's one invariant, checked in one place: admission bound
+/// every op to the column type it meets, so a miss is an engine bug.
+fn bound<T>(x: Option<T>) -> T {
+    x.expect("columnar plans are bound to the column type they meet")
+}
+
+/// A numeric column's flat values.
+enum Numeric<'a> {
+    Int(&'a [i64]),
+    Real(&'a [f64]),
+}
+
+fn numeric(c: &Column) -> Numeric<'_> {
+    match (c.as_i64(), c.as_f64()) {
+        (Some(xs), _) => Numeric::Int(xs),
+        (_, Some(xs)) => Numeric::Real(xs),
+        _ => bound(None),
     }
+}
+
+/// Folds the live rows into an absorber's state, replaying the
+/// interpreter's per-element updates (see [`crate::columnar`]).
+fn fold(
+    state: &mut StageState,
+    cur: &Column,
+    sel: Option<&SelectionVector>,
+    cols: &ColumnarBatch,
+) -> Result<(), EngineError> {
+    match state {
+        StageState::Agg {
+            kind: AggKind::Count,
+            count,
+            ..
+        } => *count += live(cur, sel) as i64,
+        StageState::Agg {
+            kind: AggKind::Sum | AggKind::Avg,
+            count,
+            sum_int,
+            sum_real,
+            saw_real,
+            ..
+        } => match (numeric(cur), sel) {
+            (Numeric::Int(xs), None) => columnar::fold_sum_i64(count, sum_int, xs),
+            (Numeric::Int(xs), Some(s)) => columnar::fold_sum_i64_sel(count, sum_int, xs, s),
+            (Numeric::Real(xs), None) => columnar::fold_sum_f64(count, sum_real, saw_real, xs),
+            (Numeric::Real(xs), Some(s)) => {
+                columnar::fold_sum_f64_sel(count, sum_real, saw_real, xs, s)
+            }
+        },
+        StageState::Agg {
+            kind, count, best, ..
+        } => {
+            let maximize = *kind == AggKind::Max;
+            match (numeric(cur), sel) {
+                (Numeric::Int(xs), None) => columnar::fold_best_i64(count, best, xs, maximize),
+                (Numeric::Int(xs), Some(s)) => {
+                    columnar::fold_best_i64_sel(count, best, xs, s, maximize)
+                }
+                (Numeric::Real(xs), None) => columnar::fold_best_f64(count, best, xs, maximize),
+                (Numeric::Real(xs), Some(s)) => {
+                    columnar::fold_best_f64_sel(count, best, xs, s, maximize)
+                }
+            }
+        }
+        StageState::Quantile { hist, .. } => match (numeric(cur), sel) {
+            (Numeric::Int(xs), None) => columnar::fold_quantile_i64(hist, xs)?,
+            (Numeric::Int(xs), Some(s)) => columnar::fold_quantile_i64_sel(hist, xs, s)?,
+            (Numeric::Real(xs), None) => columnar::fold_quantile_f64(hist, xs)?,
+            (Numeric::Real(xs), Some(s)) => columnar::fold_quantile_f64_sel(hist, xs, s)?,
+        },
+        StageState::Bandwidth { bytes, last_nanos } => {
+            // Only pass-through stages precede a metric fold, so the
+            // live rows are a prefix of the batch.
+            let view = cols.slice(0, cur.len());
+            let [channel, time_ns, sample_bytes] =
+                METRIC_COLUMNS.map(|name| bound(view.column(name)));
+            columnar::fold_bandwidth(
+                bytes,
+                last_nanos,
+                bound(channel.as_i64()),
+                bound(time_ns.as_i64()),
+                bound(sample_bytes.as_i64()),
+            )?;
+        }
+        _ => bound(None),
+    }
+    Ok(())
 }
 
 /// The marshaled size shared by every element of the batch, or `None`
@@ -901,77 +763,36 @@ fn uniform_elem_bytes(cols: &ColumnarBatch, ty: ColType) -> Option<u64> {
 }
 
 /// The static columnar-admission verdict for each stage of a chain —
-/// what `explain` prints so rejected shapes are diagnosable without
-/// reading `columnar_admit`. `"columnar"` marks stages the absorbing
-/// columnar pass can drive, `"columnar (relay)"` marks stages of a
-/// re-emitting relay chain, and `"scalar: <reason>"` explains why a
-/// stage forces the per-element path. Verdicts are shape-level:
-/// per-batch typing (a string column into `sum`, mixed runs) can still
-/// demote an admitted shape at delivery time.
+/// what `explain` prints so rejected shapes are diagnosable. Derived
+/// from the same `classify` that fixes a [`FusedChain`]'s shape:
+/// `"columnar"` marks stages a [`Terminal::Fold`] walk drives,
+/// `"columnar (relay)"` marks stages of a [`Terminal::Emit`] chain, and
+/// `"scalar: <reason>"` explains why a stage forces the per-element
+/// path. Verdicts are shape-level: per-batch typing (a string column
+/// into `sum`, mixed runs) can still demote an admitted shape at
+/// delivery time.
 pub fn admission_verdicts(stages: &[Stage]) -> Vec<String> {
-    let vectorizable = |s: &Stage| {
-        matches!(
-            s,
-            Stage::Agg(_)
-                | Stage::StreamOf
-                | Stage::Take { .. }
-                | Stage::Bandwidth
-                | Stage::Quantile { .. }
-                | Stage::Map(_)
-                | Stage::Arith { .. }
-                | Stage::Cmp { .. }
-                | Stage::Filter { .. }
-        )
-    };
-    let absorber =
-        |s: &Stage| matches!(s, Stage::Agg(_) | Stage::Bandwidth | Stage::Quantile { .. });
-    let transform = |s: &Stage| {
-        matches!(
-            s,
-            Stage::Arith { .. } | Stage::Cmp { .. } | Stage::Filter { .. }
-        )
-    };
-    let all_vectorizable = stages.iter().all(vectorizable);
-    if all_vectorizable && stages.iter().any(absorber) {
-        let mut absorbed = false;
-        return stages
-            .iter()
-            .map(|s| {
-                if absorbed {
-                    "scalar: after the absorber (sees only the flush)".to_string()
-                } else {
-                    absorbed = absorber(s);
-                    "columnar".to_string()
-                }
-            })
-            .collect();
-    }
-    let relayable = |s: &Stage| {
-        matches!(
-            s,
-            Stage::StreamOf
-                | Stage::Take { .. }
-                | Stage::Arith { .. }
-                | Stage::Cmp { .. }
-                | Stage::Filter { .. }
-        )
-    };
-    if stages.iter().all(relayable) && stages.iter().any(transform) {
-        return stages
-            .iter()
-            .map(|_| "columnar (relay)".to_string())
-            .collect();
-    }
+    let shape = classify(stages);
+    let kernel = |s: &Stage| stage_kind(s) != StageKind::Opaque;
+    let all_kernels = stages.iter().all(kernel);
+    let mut absorbed = false;
     stages
         .iter()
         .map(|s| {
-            if !vectorizable(s) {
-                "scalar: no whole-column kernel".to_string()
-            } else if all_vectorizable {
-                "scalar: chain neither absorbs nor transforms".to_string()
-            } else {
-                "scalar: chain blocked by a non-vectorizable stage".to_string()
+            match shape {
+                Some(Terminal::Fold) if absorbed => {
+                    "scalar: after the absorber (sees only the flush)"
+                }
+                Some(Terminal::Fold) => {
+                    absorbed = stage_kind(s) == StageKind::Absorber;
+                    "columnar"
+                }
+                Some(Terminal::Emit) => "columnar (relay)",
+                None if !kernel(s) => "scalar: no whole-column kernel",
+                None if all_kernels => "scalar: chain neither absorbs nor transforms",
+                None => "scalar: chain blocked by a non-vectorizable stage",
             }
+            .to_string()
         })
         .collect()
 }
@@ -1273,51 +1094,14 @@ impl ExecChain {
         }
     }
 
-    /// Whether the executor could use *any* columnar pass (absorbing or
-    /// relay) on some batch shape. The runtime consults this before
-    /// transposing a delivered run, so chains that can never admit —
-    /// and the interpreted reference, always — skip the decomposition
-    /// work entirely.
-    pub(crate) fn wants_columnar(&self) -> bool {
+    /// The fused chain, when it has a columnar shape — the runtime's
+    /// one door to admission and the columnar walk. `None` for the
+    /// interpreted reference (always) and for scalar-shaped chains, so
+    /// the runtime skips transposing runs no batch could use.
+    pub(crate) fn columnar(&mut self) -> Option<&mut FusedChain> {
         match self {
-            ExecChain::Interpreted(_) => false,
-            ExecChain::Fused(f) => f.columnar_ok || f.relay_ok,
-        }
-    }
-
-    /// Absorber admission over an already-transposed batch.
-    pub(crate) fn columnar_admit_cols(&self, cols: &ColumnarBatch) -> Option<ColumnarAdmit> {
-        match self {
-            ExecChain::Interpreted(_) => None,
-            ExecChain::Fused(f) => f.columnar_admit_cols(cols),
-        }
-    }
-
-    /// Relay admission over an already-transposed batch.
-    pub(crate) fn relay_admit_cols(&self, cols: &ColumnarBatch) -> Option<RelayAdmit> {
-        match self {
-            ExecChain::Interpreted(_) => None,
-            ExecChain::Fused(f) => f.relay_admit_cols(cols),
-        }
-    }
-
-    /// Absorbs an admitted batch as whole columns.
-    pub(crate) fn process_admitted(&mut self, admit: ColumnarAdmit) -> Result<(), EngineError> {
-        match self {
-            ExecChain::Interpreted(_) => unreachable!("interpreted chains never admit batches"),
-            ExecChain::Fused(f) => f.process_admitted(admit),
-        }
-    }
-
-    /// Runs a relay-admitted batch, returning the surviving column and
-    /// the output-row → input-row mapping.
-    pub(crate) fn process_relayed(
-        &mut self,
-        admit: RelayAdmit,
-    ) -> (ColumnarBatch, Option<SelectionVector>) {
-        match self {
-            ExecChain::Interpreted(_) => unreachable!("interpreted chains never admit batches"),
-            ExecChain::Fused(f) => f.process_relayed(admit),
+            ExecChain::Fused(f) if f.shape.is_some() => Some(f),
+            _ => None,
         }
     }
 

@@ -15,7 +15,7 @@ use crate::builder::QueryGraph;
 use crate::coordinator::Coordinator;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::fused::{CostModel, ExecChain, FusedProgram};
+use crate::fused::{CostModel, ExecChain, FusedProgram, Terminal, Walked};
 use crate::measure::{ChannelReport, QueryResult, QueryStats};
 use crate::ops::{InputKind, Pipeline};
 use scsq_cluster::{ClusterName, Environment, NodeId};
@@ -1076,8 +1076,8 @@ fn cycle(world: &mut World, sim: &mut Sim, ci: usize) {
 /// `Elem::Col`s sharing one backing batch with contiguous ascending
 /// rows reassemble the upstream columnar view **zero-copy** — no
 /// re-marshaling, no per-row materialization — before the same
-/// absorb/relay/fallback ladder. Processing order is exactly delivery
-/// order either way.
+/// columnar delivery or per-element fallback. Processing order is
+/// exactly delivery order either way.
 fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
     if world.error.is_some() {
         return;
@@ -1202,7 +1202,7 @@ fn deliver(world: &mut World, sim: &mut Sim, ci: usize, mut batch: Vec<Elem>) {
 }
 
 /// Processes one run of scalar values delivered back-to-back: transpose
-/// and try the columnar ladder when the destination chain can use
+/// and try columnar delivery when the destination chain can use
 /// columns at all (`--columnar off`, an interpreted chain, or a
 /// non-qualifying chain skips the decomposition entirely), else walk
 /// the run per element.
@@ -1214,10 +1214,10 @@ fn deliver_value_run(
     run: &mut Vec<Value>,
     now: SimTime,
 ) {
-    if world.columnar && run.len() > 1 && world.rps[dst].chain.wants_columnar() {
+    if world.columnar && run.len() > 1 && world.rps[dst].chain.columnar().is_some() {
         let cols = ColumnarBatch::from_values(run);
         world.columnar_transposes += 1;
-        if absorb_columns(world, dst, &cols, now) || relay_columns(world, sim, dst, &cols, now) {
+        if deliver_columns(world, sim, dst, &cols, now) {
             run.clear();
             return;
         }
@@ -1243,7 +1243,7 @@ fn deliver_col_group(
     now: SimTime,
 ) {
     let view = batch.slice(first as usize, (first + len) as usize);
-    if absorb_columns(world, dst, &view, now) || relay_columns(world, sim, dst, &view, now) {
+    if deliver_columns(world, sim, dst, &view, now) {
         return;
     }
     for row in 0..view.rows() {
@@ -1257,33 +1257,56 @@ fn deliver_col_group(
     }
 }
 
-/// Columnar absorption: the whole batch feeds an absorbing chain with
-/// one dispatch per typed column instead of one per element. Admission
-/// (`FusedChain::columnar_admit_cols`) guarantees the batch's elements
-/// share one marshaled size whenever the chain charges compute cost, so
-/// the per-element charge loop collapses to one bulk call that serves
-/// the same total and draws the jitter stream exactly as many times —
-/// simulated time and RNG positions stay byte-identical to the
-/// per-element walk (`Environment::compute_bulk`).
-fn absorb_columns(world: &mut World, dst: usize, cols: &ColumnarBatch, now: SimTime) -> bool {
-    let Some(admit) = world.rps[dst].chain.columnar_admit_cols(cols) else {
+/// Columnar delivery: one admission decides whether the destination
+/// chain runs the batch as whole columns, then the RP is charged and the
+/// one columnar walk runs.
+///
+/// Charging mirrors the per-element walk. Admission guarantees the
+/// batch's elements share one marshaled size whenever the chain charges
+/// compute cost, so the per-element charge loop collapses to one call
+/// that serves the same total and draws the jitter stream exactly as
+/// many times — simulated time and RNG positions stay byte-identical.
+/// A `Fold` batch emits nothing before end of stream, so one
+/// `Environment::compute_bulk` suffices. An `Emit` batch needs every
+/// element's own finish time: `Environment::compute_each` is
+/// draw-for-draw identical to n scalar `compute` calls at one `ready`,
+/// and the survivors are then forwarded downstream (`emit_columns`).
+fn deliver_columns(
+    world: &mut World,
+    sim: &mut Sim,
+    dst: usize,
+    cols: &ColumnarBatch,
+    now: SimTime,
+) -> bool {
+    let rp = &mut world.rps[dst];
+    let Some(chain) = rp.chain.columnar() else {
         return false;
     };
+    let Some(admit) = chain.admit(cols) else {
+        return false;
+    };
+    if admit.terminal == Terminal::Emit && rp.is_client {
+        // The client sink records owned values; relaying column handles
+        // into the result set would only defer the materialization.
+        return false;
+    }
     let n = admit.rows as u64;
-    let cost = world.rps[dst].cost.cost(admit.elem_bytes);
-    let node = world.rps[dst].node;
-    let span_busy0 = scsq_sim::obs::enabled().then(|| world.env.cpu_busy(node));
-    world.env.compute_bulk(node, cost, n, now);
-    // An absorbed batch emits nothing before end of stream; only the
-    // monitoring counters need per-element accounting.
-    world.rps[dst].elements_in += n;
+    let cost = rp.cost.cost(admit.elem_bytes);
+    let node = rp.node;
+    let fold = admit.terminal == Terminal::Fold;
+    let span_busy0 = (fold && scsq_sim::obs::enabled()).then(|| world.env.cpu_busy(node));
+    let mut readies = std::mem::take(&mut world.ready_scratch);
+    if fold {
+        world.env.compute_bulk(node, cost, n, now);
+    } else {
+        world.env.compute_each(node, cost, n, now, &mut readies);
+    }
+    rp.elements_in += n;
     world.columnar_batches += 1;
     let t0 = world.profile.then(std::time::Instant::now);
-    if let Err(e) = world.rps[dst].chain.process_admitted(admit) {
-        world.error = Some(e);
-    }
+    let walked = chain.walk(admit);
     if let Some(t0) = t0 {
-        world.rps[dst].wall_ns += t0.elapsed().as_nanos() as u64;
+        rp.wall_ns += t0.elapsed().as_nanos() as u64;
     }
     if let Some(busy0) = span_busy0 {
         let busy1 = world.env.cpu_busy(node);
@@ -1295,64 +1318,48 @@ fn absorb_columns(world: &mut World, dst: usize, cols: &ColumnarBatch, now: SimT
             dur_ns: busy1.saturating_sub(busy0).as_nanos(),
         });
     }
+    match walked {
+        Ok(Walked::Folded) => {}
+        Ok(Walked::Emitted(out, sel)) => {
+            emit_columns(world, sim, dst, &out, sel.as_ref(), &readies, now);
+        }
+        Err(e) => world.error = Some(e),
+    }
+    world.ready_scratch = readies;
     true
 }
 
-/// Columnar relay: a re-emitting chain (transforms + take, no absorber)
-/// processes the whole batch with column kernels and forwards the
-/// surviving rows as `Elem::Col` handles to the shared output batch —
-/// the cross-SP column relay. Byte-identity with the scalar walk:
-/// the environment's compute server and the channels are disjoint
-/// state, and `pending_buffers` reads only configuration-derived
-/// bounds, so charging all elements first
-/// (`Environment::compute_each`, draw-for-draw identical to n scalar
-/// `compute` calls at one `ready`) and then enqueueing all survivors —
-/// each at its source element's own finish time, in element order, in
-/// channel order — reproduces the interleaved schedule exactly.
-fn relay_columns(
+/// The cross-SP column relay: forwards an emitted column's survivors as
+/// `Elem::Col` handles to the shared output batch. Byte-identity with
+/// the scalar walk: the environment's compute server and the channels
+/// are disjoint state, and `pending_buffers` reads only
+/// configuration-derived bounds, so charging all elements first and
+/// then enqueueing all survivors — each at its source element's own
+/// finish time, in element order, in channel order — reproduces the
+/// interleaved schedule exactly.
+fn emit_columns(
     world: &mut World,
     sim: &mut Sim,
     dst: usize,
-    cols: &ColumnarBatch,
+    out: &ColumnarBatch,
+    sel: Option<&SelectionVector>,
+    readies: &[SimTime],
     now: SimTime,
-) -> bool {
-    if world.rps[dst].is_client {
-        // The client sink records owned values; relaying column handles
-        // into the result set would only defer the materialization.
-        return false;
-    }
-    let Some(admit) = world.rps[dst].chain.relay_admit_cols(cols) else {
-        return false;
-    };
-    let n = admit.rows;
-    let cost = world.rps[dst].cost.cost(admit.elem_bytes);
-    let node = world.rps[dst].node;
-    let mut readies = std::mem::take(&mut world.ready_scratch);
-    world
-        .env
-        .compute_each(node, cost, n as u64, now, &mut readies);
-    world.rps[dst].elements_in += n as u64;
-    world.columnar_batches += 1;
-    let t0 = world.profile.then(std::time::Instant::now);
-    let (out, sel) = world.rps[dst].chain.process_relayed(admit);
-    if let Some(t0) = t0 {
-        world.rps[dst].wall_ns += t0.elapsed().as_nanos() as u64;
-    }
+) {
     let m = out.rows();
     world.rps[dst].elements_out += m as u64;
     let n_out = world.rps[dst].outputs.len();
     if m > 0 && n_out > 0 {
         if let Some(size) = out.uniform_row_size() {
-            relay_pack(world, sim, dst, &out, sel.as_ref(), &readies, size, now);
-            world.ready_scratch = readies;
-            return true;
+            relay_pack(world, sim, dst, out, sel, readies, size, now);
+            return;
         }
     }
     for j in 0..m {
         // Output row j came from input row sel[j] (or j itself when the
         // output is a prefix): forward at that element's compute-finish
         // time, exactly like the scalar emit.
-        let src_row = sel.as_ref().map_or(j, |s| s.rows()[j] as usize);
+        let src_row = sel.map_or(j, |s| s.rows()[j] as usize);
         let at = readies[src_row];
         let size = out.row_marshaled_size(j);
         for oi in 0..n_out {
@@ -1364,8 +1371,6 @@ fn relay_columns(
             enqueue_elem(world, sim, ci, item, size, at);
         }
     }
-    world.ready_scratch = readies;
-    true
 }
 
 /// Forward a relayed batch's survivors as one send-queue pack per

@@ -1,21 +1,26 @@
 //! Property-based equivalence of the columnar batch fast path.
 //!
-//! [`FusedChain::process_batch_columnar`] absorbs a whole delivered
-//! batch with one dispatch per column; its contract is that the result
-//! is byte-identical to feeding the same elements one at a time — the
+//! [`FusedChain::admit`] clears a whole delivered batch for the one
+//! columnar walk, [`FusedChain::walk`], which either folds it into the
+//! chain's absorber ([`Terminal::Fold`]) or returns the surviving rows
+//! as a column ([`Terminal::Emit`]). The contract is that the result is
+//! byte-identical to feeding the same elements one at a time — the
 //! accumulators land in the same state (same wrapping integer sums,
 //! same sequential float rounding, same strict first-best winners), the
-//! end-of-stream flush emits the same values, and error *messages*
-//! match, because the runtime surfaces them to the client verbatim.
+//! emitted rows equal the per-element outputs, the end-of-stream flush
+//! emits the same values, and error *messages* match, because the
+//! runtime surfaces them to the client verbatim.
 //!
-//! The driver below mirrors `World::deliver`: try the columnar pass,
-//! and fall back to the per-element fused path when it declines
-//! (`Ok(false)`), exactly as the engine does.
+//! The driver below mirrors the runtime's delivery path: transpose the
+//! run with [`ColumnarBatch::from_values`], admit once, walk when
+//! admitted, and fall back to the per-element fused path when admission
+//! declines, exactly as the engine does. Runs of every length are
+//! offered, as relayed column groups are at the receiver.
 
 use proptest::prelude::*;
 use scsq_engine::ops::{AggKind, MapFunc, Pipeline, Stage, StageChain};
-use scsq_engine::{ArithOp, CmpOp, FusedChain, FusedProgram};
-use scsq_ql::{Batch, Value};
+use scsq_engine::{admission_verdicts, ArithOp, CmpOp, FusedChain, FusedProgram, Terminal, Walked};
+use scsq_ql::{ColumnarBatch, SpHandle, Value};
 
 fn agg() -> impl Strategy<Value = AggKind> {
     prop_oneof![
@@ -126,21 +131,24 @@ fn batch_values() -> impl Strategy<Value = Vec<Value>> {
     ]
 }
 
-/// Feeds the same batches through the interpreted chain (per element)
-/// and the fused chain driven the way `World::deliver` drives it
-/// (columnar pass first, per-element fallback on decline), comparing
-/// outputs, errors, and the end-of-stream flush.
-fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(), TestCaseError> {
-    let pipeline = Pipeline {
+fn pipeline(stages: Vec<Stage>) -> Pipeline {
+    Pipeline {
         input: scsq_engine::InputKind::Const { values: Vec::new() },
         stages,
-    };
+    }
+}
+
+/// Feeds the same batches through the interpreted chain (per element)
+/// and the fused chain driven the way the runtime's delivery path
+/// drives it (one admission, then the columnar walk; per-element
+/// fallback on decline), comparing outputs, errors, and the
+/// end-of-stream flush.
+fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(), TestCaseError> {
+    let pipeline = pipeline(stages);
     let mut interpreted = StageChain::new(&pipeline);
     let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
 
     for values in batches {
-        let batch = Batch::new(values.clone());
-
         // Reference: the interpreter, one element at a time.
         let mut ref_out = Vec::new();
         let mut ref_err = None;
@@ -155,15 +163,42 @@ fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(),
         }
 
         // Candidate: the deliver-path driver.
-        match fused.process_batch_columnar(&batch) {
-            Ok(true) => {
-                // The columnar pass only fires for absorber-terminated
-                // chains, which emit nothing per element and never fail
-                // on the shapes the pre-check admits.
+        let admitted = fused.admit(&ColumnarBatch::from_values(&values));
+        match admitted.map(|a| (a.terminal, fused.walk(a))) {
+            Some((Terminal::Fold, Ok(Walked::Folded))) => {
+                // The fold succeeded, so the interpreter must have too,
+                // and an absorber emits nothing before end of stream.
                 prop_assert!(ref_err.is_none(), "interpreter failed, columnar did not");
                 prop_assert!(ref_out.is_empty(), "absorbed batch must emit nothing");
             }
-            Ok(false) => {
+            Some((Terminal::Emit, Ok(Walked::Emitted(out, sel)))) => {
+                prop_assert!(
+                    ref_err.is_none(),
+                    "interpreter failed, the relay pass did not"
+                );
+                if let Some(s) = &sel {
+                    prop_assert_eq!(s.rows().len(), out.rows(), "selection covers the output");
+                }
+                let got: Vec<Value> = (0..out.rows())
+                    .map(|j| out.value_at(j).expect("relay outputs are valid"))
+                    .collect();
+                prop_assert_eq!(&ref_out, &got, "relayed rows");
+            }
+            Some((terminal, Ok(walked))) => {
+                return Err(TestCaseError::fail(format!(
+                    "a {terminal:?} batch walked as {walked:?}"
+                )))
+            }
+            Some((_, Err(e))) => {
+                let Some(a) = ref_err else {
+                    return Err(TestCaseError::fail(format!(
+                        "columnar pass failed, interpreter did not: {e}"
+                    )));
+                };
+                prop_assert_eq!(a.to_string(), e.to_string(), "error messages");
+                return Ok(());
+            }
+            None => {
                 let mut out = Vec::new();
                 let mut err = None;
                 for v in &values {
@@ -184,15 +219,6 @@ fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(),
                         )))
                     }
                 }
-            }
-            Err(e) => {
-                let Some(a) = ref_err else {
-                    return Err(TestCaseError::fail(format!(
-                        "columnar pass failed, interpreter did not: {e}"
-                    )));
-                };
-                prop_assert_eq!(a.to_string(), e.to_string(), "error messages");
-                return Ok(());
             }
         }
     }
@@ -246,88 +272,10 @@ fn relay_batch() -> impl Strategy<Value = Vec<Value>> {
     ]
 }
 
-/// Drives the relay admission path the way `World::deliver` drives it:
-/// relay when admitted (materializing the forwarded column rows for
-/// comparison), per-element fused fallback when declined; the
-/// interpreter is the byte-identity reference throughout.
-fn assert_relay_equivalent(
-    stages: Vec<Stage>,
-    batches: Vec<Vec<Value>>,
-) -> Result<(), TestCaseError> {
-    let pipeline = Pipeline {
-        input: scsq_engine::InputKind::Const { values: Vec::new() },
-        stages,
-    };
-    let mut interpreted = StageChain::new(&pipeline);
-    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
-
-    for values in batches {
-        let mut ref_out = Vec::new();
-        let mut ref_err = None;
-        for v in &values {
-            match interpreted.process(v.clone(), None) {
-                Ok(mut o) => ref_out.append(&mut o),
-                Err(e) => {
-                    ref_err = Some(e);
-                    break;
-                }
-            }
-        }
-
-        let cols = scsq_ql::ColumnarBatch::from_values(&values);
-        if let Some(admit) = fused.relay_admit_cols(&cols) {
-            let (out, sel) = fused.process_relayed(admit);
-            prop_assert!(
-                ref_err.is_none(),
-                "interpreter failed, the relay pass did not"
-            );
-            if let Some(s) = &sel {
-                prop_assert_eq!(s.rows().len(), out.rows(), "selection covers the output");
-            }
-            let got: Vec<Value> = (0..out.rows())
-                .map(|j| out.value_at(j).expect("relay outputs are valid"))
-                .collect();
-            prop_assert_eq!(&ref_out, &got, "relayed rows");
-        } else {
-            let mut out = Vec::new();
-            let mut err = None;
-            for v in &values {
-                if let Err(e) = fused.process_into(v.clone(), None, &mut out) {
-                    err = Some(e);
-                    break;
-                }
-            }
-            match (ref_err, err) {
-                (None, None) => prop_assert_eq!(&ref_out, &out, "per-element outputs"),
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.to_string(), b.to_string(), "error messages");
-                    return Ok(());
-                }
-                (a, b) => {
-                    return Err(TestCaseError::fail(format!(
-                        "one path failed, the other did not: {a:?} vs {b:?}"
-                    )))
-                }
-            }
-        }
-    }
-
-    match (interpreted.finish(), fused.finish()) {
-        (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "end-of-stream flush"),
-        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "flush errors"),
-        (a, b) => {
-            return Err(TestCaseError::fail(format!(
-                "flush disagreement: {a:?} vs {b:?}"
-            )))
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The columnar batch pass (with its per-element fallback) agrees
+    /// The columnar walk (with its per-element fallback) agrees
     /// with the interpreted reference on outputs, accumulator state (via
     /// the flush), and errors, over randomized chains and batch streams.
     #[test]
@@ -353,7 +301,7 @@ proptest! {
         let mut stages = before;
         stages.push(transform);
         stages.extend(after);
-        assert_relay_equivalent(stages, batches)?;
+        assert_equivalent(stages, batches)?;
     }
 }
 
@@ -361,10 +309,7 @@ proptest! {
 /// the same accumulator state as per-element execution.
 #[test]
 fn columnar_pass_absorbs_metric_batches() {
-    let pipeline = Pipeline {
-        input: scsq_engine::InputKind::Const { values: Vec::new() },
-        stages: vec![Stage::StreamOf, Stage::Bandwidth],
-    };
+    let pipeline = pipeline(vec![Stage::StreamOf, Stage::Bandwidth]);
     let sample = |t: i64, b: i64| {
         Value::Bag(vec![
             Value::Integer(0),
@@ -375,9 +320,10 @@ fn columnar_pass_absorbs_metric_batches() {
     let values = vec![sample(100, 10), sample(250, 20), sample(900, 30)];
 
     let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
-    assert!(fused
-        .process_batch_columnar(&Batch::new(values.clone()))
-        .unwrap());
+    let admit = fused
+        .admit(&ColumnarBatch::from_values(&values))
+        .expect("a metric run into bandwidth is admitted");
+    assert!(matches!(fused.walk(admit).unwrap(), Walked::Folded));
 
     let mut interpreted = StageChain::new(&pipeline);
     for v in values {
@@ -386,9 +332,10 @@ fn columnar_pass_absorbs_metric_batches() {
     assert_eq!(fused.finish().unwrap(), interpreted.finish().unwrap());
 }
 
-/// A chain with no absorbing aggregate declines the columnar pass: a
-/// relay would have to reconstruct every leftover tuple, which costs
-/// more than the per-element path it replaces.
+/// A chain of pass-through stages alone (`streamof`, `take`) has no
+/// columnar shape: with no absorber there is nothing to fold, and with
+/// no `arith`/`cmp`/`filter` there is nothing for a relay to rewrite, so
+/// admission declines and the per-element path forwards the rows.
 #[test]
 fn relay_chains_decline_the_columnar_pass() {
     for stages in [
@@ -396,12 +343,62 @@ fn relay_chains_decline_the_columnar_pass() {
         vec![Stage::Take { limit: 4 }],
         vec![Stage::StreamOf, Stage::Take { limit: 4 }],
     ] {
-        let pipeline = Pipeline {
-            input: scsq_engine::InputKind::Const { values: Vec::new() },
-            stages,
-        };
-        let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
-        let batch = Batch::new((0..6).map(Value::Integer).collect());
-        assert!(!fused.process_batch_columnar(&batch).unwrap());
+        let fused = FusedChain::new(&FusedProgram::compile(&pipeline(stages)));
+        let values: Vec<Value> = (0..6).map(Value::Integer).collect();
+        assert!(fused.admit(&ColumnarBatch::from_values(&values)).is_none());
     }
+}
+
+/// `explain`'s verdicts and admission come from one classifier: for one
+/// chain of each verdict kind, a well-typed integer batch is admitted as
+/// `Fold` exactly when the chain prints `columnar`, as `Emit` exactly
+/// when it prints `columnar (relay)`, and declined otherwise.
+#[test]
+fn admission_agrees_with_explain_verdicts() {
+    let arith = Stage::Arith {
+        op: ArithOp::Add,
+        rhs: Value::Integer(1),
+    };
+    let filter = Stage::Filter {
+        op: CmpOp::Gt,
+        rhs: Value::Integer(3),
+    };
+    let radix = Stage::RadixCombine {
+        first: SpHandle(1),
+        second: SpHandle(2),
+    };
+    let chains = [
+        // columnar
+        vec![Stage::Agg(AggKind::Sum)],
+        // columnar, then scalar: after the absorber
+        vec![Stage::StreamOf, Stage::Agg(AggKind::Count), arith.clone()],
+        // columnar (relay)
+        vec![arith, filter],
+        // scalar: chain neither absorbs nor transforms
+        vec![Stage::StreamOf, Stage::Take { limit: 4 }],
+        // scalar: no whole-column kernel / chain blocked by it
+        vec![radix, Stage::Agg(AggKind::Count)],
+    ];
+    let values: Vec<Value> = (0..6).map(Value::Integer).collect();
+    let cols = ColumnarBatch::from_values(&values);
+    let mut kinds = std::collections::BTreeSet::new();
+    for stages in chains {
+        let verdicts = admission_verdicts(&stages);
+        kinds.extend(verdicts.iter().cloned());
+        let expected = if verdicts.iter().any(|v| v == "columnar") {
+            Some(Terminal::Fold)
+        } else if verdicts.iter().all(|v| v == "columnar (relay)") {
+            Some(Terminal::Emit)
+        } else {
+            assert!(verdicts.iter().all(|v| v.starts_with("scalar: ")));
+            None
+        };
+        let fused = FusedChain::new(&FusedProgram::compile(&pipeline(stages.clone())));
+        assert_eq!(
+            fused.admit(&cols).map(|a| a.terminal),
+            expected,
+            "{stages:?}: {verdicts:?}"
+        );
+    }
+    assert_eq!(kinds.len(), 6, "every verdict kind is covered: {kinds:?}");
 }

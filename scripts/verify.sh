@@ -11,6 +11,11 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q"
+# Every crate's suites, including the engine's columnar_equiv,
+# columnar_accounting, fuse_equiv and coalesce_equiv identity tests.
+cargo test --workspace -q
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
