@@ -216,7 +216,7 @@ fn bench_fig6_inner(c: &mut Criterion) {
     group.finish();
 }
 
-/// The per-event path with fused stage programs vs the interpreted
+/// The per-event path through the fused breadth-first chain vs the interpreted
 /// fallback (coalescing disabled in both so every element walks the
 /// stage chain).
 fn bench_fused_vs_interpreted(c: &mut Criterion) {

@@ -8,9 +8,8 @@
 //! that run's spans in Chrome trace-event format.
 
 use scsq_bench::{
-    buffer_sweep, fig8, parse_coalesce, parse_columnar, parse_fuse, parse_jobs, parse_metrics,
-    parse_profile, parse_trace, print_figure, profile_representative, series_to_csv,
-    write_hub_metrics, Scale,
+    buffer_sweep, fig8, parse_jobs, parse_metrics, parse_profile, parse_switch, parse_trace,
+    print_figure, profile_representative, series_to_csv, write_hub_metrics, Scale,
 };
 use scsq_core::HardwareSpec;
 
@@ -26,9 +25,9 @@ fn main() {
         scsq_core::metrics::hub().enable(true);
     }
     let mode = scsq_bench::ExecMode {
-        coalesce: parse_coalesce(&args),
-        fuse: parse_fuse(&args),
-        columnar: parse_columnar(&args),
+        coalesce: parse_switch(&args, "--coalesce"),
+        fuse: parse_switch(&args, "--fuse"),
+        columnar: parse_switch(&args, "--columnar"),
     };
     let scale = if quick {
         Scale::quick()

@@ -29,8 +29,7 @@ pub mod scaling;
 pub mod serve;
 
 pub use pool::{
-    default_jobs, parse_coalesce, parse_columnar, parse_fuse, parse_jobs, parse_metrics,
-    parse_profile, parse_trace, run_indexed,
+    default_jobs, parse_jobs, parse_metrics, parse_profile, parse_switch, parse_trace, run_indexed,
 };
 pub use report::{print_figure, series_to_csv, write_hub_metrics, write_hub_metrics_tagged};
 
@@ -76,13 +75,13 @@ impl Scale {
 /// Execution-path switches shared by every figure runner: which fast
 /// tiers are on. Results are bit-identical for every combination — the
 /// switches only change the wall-clock (coalescing skips events
-/// analytically; fusion swaps the stage interpreter for jump-table
-/// programs).
+/// analytically; fusion swaps the recursive stage interpreter for the
+/// breadth-first fused chain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecMode {
     /// Train coalescing ([`RunOptions::coalesce`]).
     pub coalesce: bool,
-    /// Fused stage programs ([`RunOptions::fuse`]).
+    /// Fused stage chains ([`RunOptions::fuse`]).
     pub fuse: bool,
     /// Columnar batch absorption ([`RunOptions::columnar`]).
     pub columnar: bool,

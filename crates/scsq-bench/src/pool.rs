@@ -25,29 +25,41 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+/// The value of the first `--name V` / `--name=V` flag in `args`:
+/// `None` when the flag is absent, `Some(None)` when it is the last
+/// argument and has no value.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Option<Option<&'a str>> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == name {
+            return Some(it.next().map(String::as_str));
+        }
+        if let Some(v) = arg.strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
+            return Some(Some(v));
+        }
+    }
+    None
+}
+
+/// Prints a usage message and exits with status 2, the bench binaries'
+/// handling of a bad flag value.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 /// Parses a `--jobs N` / `--jobs=N` command-line flag, defaulting to
 /// [`default_jobs`] when absent. `N` must be a positive integer;
 /// anything else aborts with a usage message, matching the bench
 /// binaries' handling of bad input.
 pub fn parse_jobs(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--jobs" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value.and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--jobs expects a positive integer (e.g. --jobs 4)");
-                std::process::exit(2);
-            }
-        };
+    let Some(value) = flag_value(args, "--jobs") else {
+        return default_jobs();
+    };
+    match value.and_then(|v| v.parse::<usize>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => usage("--jobs expects a positive integer (e.g. --jobs 4)"),
     }
-    default_jobs()
 }
 
 /// Parses a `--metrics PATH` / `--metrics=PATH` command-line flag:
@@ -56,24 +68,10 @@ pub fn parse_jobs(args: &[String]) -> usize {
 /// costs one atomic load per query). An empty path aborts with a usage
 /// message.
 pub fn parse_metrics(args: &[String]) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--metrics" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--metrics=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some(path) if !path.is_empty() => Some(path.to_string()),
-            _ => {
-                eprintln!("--metrics expects an output path (e.g. --metrics metrics.json)");
-                std::process::exit(2);
-            }
-        };
+    match flag_value(args, "--metrics")? {
+        Some(path) if !path.is_empty() => Some(path.to_string()),
+        _ => usage("--metrics expects an output path (e.g. --metrics metrics.json)"),
     }
-    None
 }
 
 /// Parses the `--profile` presence flag: when given, the binary runs
@@ -91,100 +89,22 @@ pub fn parse_profile(args: &[String]) -> bool {
 /// off and costs one relaxed atomic load per site). An empty path
 /// aborts with a usage message.
 pub fn parse_trace(args: &[String]) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--trace" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--trace=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some(path) if !path.is_empty() => Some(path.to_string()),
-            _ => {
-                eprintln!("--trace expects an output path (e.g. --trace trace.json)");
-                std::process::exit(2);
-            }
-        };
+    match flag_value(args, "--trace")? {
+        Some(path) if !path.is_empty() => Some(path.to_string()),
+        _ => usage("--trace expects an output path (e.g. --trace trace.json)"),
     }
-    None
 }
 
-/// Parses a `--coalesce on|off` / `--coalesce=on|off` command-line
-/// flag, defaulting to `true` (coalescing on) when absent. Anything
-/// other than `on` or `off` aborts with a usage message.
-pub fn parse_coalesce(args: &[String]) -> bool {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--coalesce" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--coalesce=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some("on") => true,
-            Some("off") => false,
-            _ => {
-                eprintln!("--coalesce expects 'on' or 'off' (e.g. --coalesce off)");
-                std::process::exit(2);
-            }
-        };
+/// Parses an execution-tier switch `NAME on|off` / `NAME=on|off`
+/// (`--coalesce`, `--fuse`, `--columnar`), defaulting to `true` (the
+/// tier on) when absent. Anything other than `on` or `off` aborts with
+/// a usage message.
+pub fn parse_switch(args: &[String], name: &str) -> bool {
+    match flag_value(args, name) {
+        None | Some(Some("on")) => true,
+        Some(Some("off")) => false,
+        _ => usage(&format!("{name} expects 'on' or 'off' (e.g. {name} off)")),
     }
-    true
-}
-
-/// Parses a `--fuse on|off` / `--fuse=on|off` command-line flag,
-/// defaulting to `true` (fused stage programs on) when absent. Anything
-/// other than `on` or `off` aborts with a usage message.
-pub fn parse_fuse(args: &[String]) -> bool {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--fuse" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--fuse=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some("on") => true,
-            Some("off") => false,
-            _ => {
-                eprintln!("--fuse expects 'on' or 'off' (e.g. --fuse off)");
-                std::process::exit(2);
-            }
-        };
-    }
-    true
-}
-
-/// Parses a `--columnar on|off` / `--columnar=on|off` command-line
-/// flag, defaulting to `true` (columnar batch absorption on) when
-/// absent. Anything other than `on` or `off` aborts with a usage
-/// message.
-pub fn parse_columnar(args: &[String]) -> bool {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--columnar" {
-            it.next().map(String::as_str)
-        } else if let Some(v) = arg.strip_prefix("--columnar=") {
-            Some(v)
-        } else {
-            continue;
-        };
-        return match value {
-            Some("on") => true,
-            Some("off") => false,
-            _ => {
-                eprintln!("--columnar expects 'on' or 'off' (e.g. --columnar off)");
-                std::process::exit(2);
-            }
-        };
-    }
-    true
 }
 
 /// Runs every job and returns their results in job order.

@@ -31,6 +31,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
+
+/// Pause after a failed `accept` before the next attempt.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 enum Listener {
     Tcp(TcpListener),
@@ -133,24 +137,27 @@ impl ScsqdServer {
     /// Accepts and serves connections until a session issues
     /// `.shutdown`. Each connection gets a thread; in-flight sessions
     /// finish their current statement, the accept loop stops taking new
-    /// ones.
+    /// ones. A failed accept and a connection that ends in an error
+    /// (a malformed frame, a dropped socket) each log one line to
+    /// stderr; neither stops the server.
     ///
     /// # Errors
     ///
-    /// Accept errors (per-connection I/O errors only end that session).
+    /// None today: every accept and connection error is logged and
+    /// the loop keeps accepting.
     pub fn serve(self) -> io::Result<()> {
         loop {
-            let conn: (Box<dyn Read + Send>, Box<dyn Write + Send>) = match &self.listener {
-                Listener::Tcp(l) => {
-                    let (stream, _) = l.accept()?;
-                    let read = stream.try_clone()?;
-                    (Box::new(read), Box::new(stream))
-                }
-                #[cfg(unix)]
-                Listener::Unix(l, _) => {
-                    let (stream, _) = l.accept()?;
-                    let read = stream.try_clone()?;
-                    (Box::new(read), Box::new(stream))
+            let conn = match self.accept() {
+                Ok(conn) => conn,
+                Err(e) => {
+                    eprintln!("scsqd: accept failed: {e}");
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    // A persistent failure (out of file descriptors)
+                    // would otherwise spin this loop at full speed.
+                    thread::sleep(ACCEPT_RETRY);
+                    continue;
                 }
             };
             if self.shutdown.load(Ordering::SeqCst) {
@@ -171,7 +178,9 @@ impl ScsqdServer {
                     shutdown,
                     endpoint,
                 };
-                let _ = conn.run();
+                if let Err(e) = conn.run() {
+                    eprintln!("scsqd: connection failed: {e}");
+                }
             });
         }
         #[cfg(unix)]
@@ -179,6 +188,21 @@ impl ScsqdServer {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
+    }
+
+    /// Accepts one connection and splits it into a reader and a writer.
+    fn accept(&self) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+        Ok(match &self.listener {
+            Listener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                (Box::new(stream.try_clone()?), Box::new(stream))
+            }
+            #[cfg(unix)]
+            Listener::Unix(l, _) => {
+                let (stream, _) = l.accept()?;
+                (Box::new(stream.try_clone()?), Box::new(stream))
+            }
+        })
     }
 }
 

@@ -16,7 +16,6 @@
 use crate::coordinator::Coordinator;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::fused::FusedProgram;
 use crate::ops::{AggKind, ArithOp, CmpOp, InputKind, MapFunc, Pipeline, Stage};
 use crate::placement::PlacementPolicy;
 use crate::runtime::RunOptions;
@@ -37,9 +36,6 @@ pub struct SpSpec {
     pub handle: SpHandle,
     /// The compiled SQEP.
     pub pipeline: Pipeline,
-    /// The pipeline's fused lowering, prepared once at build time and
-    /// reused by every run of the graph.
-    pub program: FusedProgram,
     /// Where the RP runs.
     pub node: NodeId,
 }
@@ -52,8 +48,6 @@ pub struct QueryGraph {
     pub sps: Vec<SpSpec>,
     /// The client manager's own pipeline (the top select head).
     pub client: Pipeline,
-    /// The client pipeline's fused lowering.
-    pub client_program: FusedProgram,
     /// Where the client manager runs.
     pub client_node: NodeId,
 }
@@ -152,11 +146,9 @@ impl<'a> QueryBuilder<'a> {
             .get_mut(&ClusterName::FrontEnd)
             .expect("fe coordinator")
             .register(self.env, &AllocSeq::Any)?;
-        let client_program = FusedProgram::compile(&client);
         Ok(QueryGraph {
             sps: self.sps,
             client,
-            client_program,
             client_node,
         })
     }
@@ -493,11 +485,9 @@ impl<'a> QueryBuilder<'a> {
             .register(self.env, &effective)?;
         let handle = SpHandle(self.next_handle);
         self.next_handle += 1;
-        let program = FusedProgram::compile(&pipeline);
         self.sps.push(SpSpec {
             handle,
             pipeline,
-            program,
             node,
         });
         Ok(handle)

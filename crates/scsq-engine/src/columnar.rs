@@ -1,7 +1,7 @@
 //! Whole-column compute kernels for the fused executor.
 //!
 //! The per-element executors ([`crate::ops::StageChain`] and the fused
-//! jump table) pay one dynamic dispatch, one `Value` match, and one
+//! breadth-first loop) pay one stage dispatch, one `Value` match, and one
 //! move per tuple. For the engine's dominant shapes — long runs of
 //! identically-typed tuples flowing into a terminal aggregate — the
 //! same work is a single tight loop over a flat array. This module

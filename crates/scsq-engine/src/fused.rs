@@ -1,33 +1,26 @@
-//! Fused stage programs: the per-event fast path.
+//! Fused stage chains: the per-event fast path and the columnar tier.
 //!
-//! The interpreted [`StageChain`] re-matches on every stage enum for
-//! every element and allocates a fresh `Vec<Value>` per stage per call.
-//! That is fine at end-of-stream flush rates but dominates the
-//! per-event execution path whenever train coalescing cannot fire
-//! (jittered service times, data-dependent stages). A [`FusedProgram`]
-//! is the `Scsq::prepare`-time lowering of a pipeline: each stage is
-//! resolved once to a direct jump-table entry (`StageFn`) and the
-//! compute-cost accounting is compiled to a compact op list with a
-//! one-entry memo, so the inner loop is a straight call chain with no
-//! enum dispatch, no re-validation, and — together with the chain's
-//! reusable ping-pong scratch buffers — no allocation per tuple.
+//! The recursive [`StageChain`] allocates a fresh `Vec<Value>` per stage
+//! per element. That is fine at end-of-stream flush rates but dominates
+//! the per-event execution path whenever train coalescing cannot fire
+//! (jittered service times, data-dependent stages). A [`FusedChain`]
+//! drives the same stage states breadth-first: each stage's
+//! [`StageState::step`] — the one per-element definition both executors
+//! share — runs over a pair of reusable ping-pong scratch buffers, and
+//! the compute-cost accounting is a compact op list with a one-entry
+//! memo ([`CostModel`]), so the inner loop allocates nothing per tuple.
 //!
-//! Correctness bar: the fused executor mutates the *same*
-//! `StageState` representation as the interpreter, feeds every stage
-//! the same input sequence in the same order (stages are
-//! order-preserving stateful flat-maps, so breadth-first scratch
-//! passes and the interpreter's depth-first recursion produce the same
-//! outputs), and delegates end-of-stream flushing and coalescer probes
-//! to the interpreted chain. Byte-identical figure CSVs with fusion on
-//! or off are enforced by `tests/fuse_csv.rs`.
+//! Correctness bar: stages are order-preserving stateful flat-maps, so
+//! feeding every stage the same input sequence breadth-first yields the
+//! same outputs as the interpreter's depth-first recursion, and
+//! end-of-stream flushing and coalescer probes are the interpreted
+//! chain's own. Byte-identical figure CSVs with fusion on or off are
+//! enforced by `tests/fuse_csv.rs`.
 
 use crate::columnar;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::ops::{
-    arith_apply, cmp_apply, AggKind, ArithOp, CmpOp, MapFunc, Pipeline, Stage, StageChain,
-    StageState,
-};
+use crate::ops::{AggKind, ArithOp, CmpOp, MapFunc, Stage, StageChain, StageState};
 use scsq_ql::column::{Column, SelectionVector, METRIC_COLUMNS};
 use scsq_ql::{ColumnarBatch, SpHandle, Value};
 use scsq_sim::StateProbe;
@@ -56,44 +49,16 @@ pub enum CostOp {
     Filter,
 }
 
-/// A pipeline lowered at prepare time: the validated stage list plus
-/// the compiled cost ops. Pure data (no function pointers), so it can
-/// live inside the shared [`crate::builder::QueryGraph`] and be
-/// compared/cloned like the rest of the plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedProgram {
-    /// The stage list this program was lowered from.
-    pub stages: Vec<Stage>,
-    cost_ops: Vec<CostOp>,
-}
-
-impl FusedProgram {
-    /// Lowers a pipeline's stage chain into a fused program.
-    pub fn compile(pipeline: &Pipeline) -> FusedProgram {
-        let cost_ops = pipeline
-            .stages
-            .iter()
-            .filter_map(|s| match s {
-                Stage::Map(f) => Some(CostOp::Map(*f)),
-                Stage::RadixCombine { .. } => Some(CostOp::Radix),
-                Stage::Arith { .. } => Some(CostOp::Arith),
-                Stage::Cmp { .. } => Some(CostOp::Cmp),
-                Stage::Filter { .. } => Some(CostOp::Filter),
-                _ => None,
-            })
-            .collect();
-        FusedProgram {
-            stages: pipeline.stages.clone(),
-            cost_ops,
-        }
-    }
-
-    /// Instantiates the per-run cost accounting for this program.
-    pub fn cost_model(&self) -> CostModel {
-        CostModel {
-            ops: self.cost_ops.clone(),
-            memo: None,
-        }
+/// The cost op a stage compiles to; `None` for stages that charge no
+/// CPU time.
+fn cost_op(stage: &Stage) -> Option<CostOp> {
+    match stage {
+        Stage::Map(f) => Some(CostOp::Map(*f)),
+        Stage::RadixCombine { .. } => Some(CostOp::Radix),
+        Stage::Arith { .. } => Some(CostOp::Arith),
+        Stage::Cmp { .. } => Some(CostOp::Cmp),
+        Stage::Filter { .. } => Some(CostOp::Filter),
+        _ => None,
     }
 }
 
@@ -108,6 +73,14 @@ pub struct CostModel {
 }
 
 impl CostModel {
+    /// Compiles the cost accounting of a stage chain.
+    pub fn new(stages: &[Stage]) -> CostModel {
+        CostModel {
+            ops: stages.iter().filter_map(cost_op).collect(),
+            memo: None,
+        }
+    }
+
     /// CPU cost (in byte-equivalents) of pushing one element of
     /// `elem_bytes` marshaled bytes through the chain. Identical to
     /// walking the stage list per element: decimation halves the size
@@ -145,18 +118,15 @@ impl CostModel {
     }
 }
 
-/// One fused stage step: consume `value`, mutate the stage's state,
-/// append any outputs. Resolved once per stage at chain build time.
-type StageFn =
-    fn(&mut StageState, Value, Option<SpHandle>, &mut Vec<Value>) -> Result<(), EngineError>;
-
-/// The fused executor: the interpreter's stage states driven by a
-/// pre-resolved jump table over reusable scratch buffers, plus the
-/// chain's columnar plans.
+/// The runtime's per-RP executor: the interpreter's stage states driven
+/// breadth-first over reusable scratch buffers, plus the chain's
+/// columnar plans.
 #[derive(Debug)]
 pub struct FusedChain {
     chain: StageChain,
-    ops: Vec<StageFn>,
+    /// `false` for the `fuse: false` reference: every element runs
+    /// through the recursive [`StageChain::process`] instead.
+    breadth_first: bool,
     cur: Vec<Value>,
     nxt: Vec<Value>,
     /// How the chain runs whole columns ([`classify`]); `None` keeps
@@ -430,23 +400,31 @@ pub enum Walked {
 }
 
 impl FusedChain {
-    /// Instantiates runtime state for a fused program.
-    pub fn new(program: &FusedProgram) -> FusedChain {
+    /// Instantiates runtime state for a stage chain.
+    pub fn new(stages: &[Stage]) -> FusedChain {
+        Self::for_run(stages, true)
+    }
+
+    /// The executor a run uses: breadth-first with the chain's columnar
+    /// shape when `fuse` is on, else the recursive interpreter with no
+    /// columnar shape (`RunOptions::fuse`).
+    pub(crate) fn for_run(stages: &[Stage], fuse: bool) -> FusedChain {
         FusedChain {
-            chain: StageChain::from_stages(&program.stages),
-            ops: program.stages.iter().map(resolve).collect(),
+            chain: StageChain::from_stages(stages),
+            breadth_first: fuse,
             cur: Vec::new(),
             nxt: Vec::new(),
-            shape: classify(&program.stages),
+            shape: classify(stages).filter(|_| fuse),
             plans: Box::new(std::array::from_fn(|_| OnceCell::new())),
-            costly: !program.cost_ops.is_empty(),
+            costly: stages.iter().any(|s| cost_op(s).is_some()),
         }
     }
 
     /// Feeds one element through the chain, appending whatever falls
-    /// out the end to `out`. Equivalent to [`StageChain::process`] but
-    /// allocation-free after warm-up: elements move between the two
-    /// scratch buffers, one stage at a time.
+    /// out the end to `out`. Breadth-first, the same outputs as
+    /// [`StageChain::process`] but allocation-free after warm-up:
+    /// elements move between the two scratch buffers, one stage at a
+    /// time.
     ///
     /// # Errors
     ///
@@ -458,22 +436,23 @@ impl FusedChain {
         from: Option<SpHandle>,
         out: &mut Vec<Value>,
     ) -> Result<(), EngineError> {
-        if self.ops.is_empty() {
-            out.push(value);
+        if !self.breadth_first {
+            out.extend(self.chain.process(value, from)?);
             return Ok(());
         }
+        let StageChain { stages, tally } = &mut self.chain;
         self.cur.clear();
         self.cur.push(value);
-        for (i, op) in self.ops.iter().enumerate() {
+        for (i, stage) in stages.iter_mut().enumerate() {
             if self.cur.is_empty() {
                 return Ok(());
             }
             self.nxt.clear();
             let n_in = self.cur.len() as u64;
             for v in self.cur.drain(..) {
-                op(&mut self.chain.stages[i], v, from, &mut self.nxt)?;
+                stage.step(v, from, &mut self.nxt)?;
             }
-            if let Some(t) = self.chain.tally.get_mut(i) {
+            if let Some(t) = tally.get_mut(i) {
                 t.calls += n_in;
                 t.elems_in += n_in;
                 t.elems_out += self.nxt.len() as u64;
@@ -482,6 +461,12 @@ impl FusedChain {
         }
         out.append(&mut self.cur);
         Ok(())
+    }
+
+    /// Whether batches can run as whole columns at all ([`classify`]):
+    /// the runtime skips transposing runs no batch could use.
+    pub(crate) fn is_columnar(&self) -> bool {
+        self.shape.is_some()
     }
 
     /// Decides, without mutating any stage state, whether a batch runs
@@ -618,6 +603,18 @@ impl FusedChain {
         probe_value: &mut dyn FnMut(&Value, &mut StateProbe<'_>),
     ) {
         self.chain.probe(p, probe_value);
+    }
+
+    /// Allocates explain-analyze tally slots (one per stage). Before
+    /// this call the tally slice is empty and every update is a no-op
+    /// bounds check.
+    pub(crate) fn enable_profiling(&mut self) {
+        self.chain.enable_profiling();
+    }
+
+    /// The per-stage tallies (empty unless profiling is enabled).
+    pub(crate) fn tally(&self) -> &[crate::profile::StageTally] {
+        &self.chain.tally
     }
 }
 
@@ -797,357 +794,10 @@ pub fn admission_verdicts(stages: &[Stage]) -> Vec<String> {
         .collect()
 }
 
-/// Resolves one stage to its jump-table entry. Aggregates resolve per
-/// kind and maps per function, so no per-element `match` survives into
-/// the inner loop.
-fn resolve(stage: &Stage) -> StageFn {
-    match stage {
-        Stage::Map(MapFunc::Odd) => step_map_odd,
-        Stage::Map(MapFunc::Even) => step_map_even,
-        Stage::Map(MapFunc::Fft) => step_map_fft,
-        Stage::Map(MapFunc::Power) => step_map_power,
-        Stage::Agg(AggKind::Count) => step_count,
-        Stage::Agg(AggKind::Sum) | Stage::Agg(AggKind::Avg) => step_sum,
-        Stage::Agg(AggKind::Max) => step_max,
-        Stage::Agg(AggKind::Min) => step_min,
-        Stage::StreamOf => step_identity,
-        Stage::RadixCombine { .. } => step_radix,
-        Stage::Window(_) => step_window,
-        Stage::Take { .. } => step_take,
-        Stage::Bandwidth => step_bandwidth,
-        Stage::Quantile { .. } => step_quantile,
-        Stage::Arith { .. } => step_arith,
-        Stage::Cmp { .. } => step_cmp,
-        Stage::Filter { .. } => step_filter,
-    }
-}
-
-fn step_identity(
-    _s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    out.push(value);
-    Ok(())
-}
-
-macro_rules! step_map {
-    ($name:ident, $f:expr) => {
-        fn $name(
-            _s: &mut StageState,
-            value: Value,
-            _from: Option<SpHandle>,
-            out: &mut Vec<Value>,
-        ) -> Result<(), EngineError> {
-            out.push(funcs::apply_map($f, value)?);
-            Ok(())
-        }
-    };
-}
-
-step_map!(step_map_odd, MapFunc::Odd);
-step_map!(step_map_even, MapFunc::Even);
-step_map!(step_map_fft, MapFunc::Fft);
-step_map!(step_map_power, MapFunc::Power);
-
-fn step_count(
-    s: &mut StageState,
-    _value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Agg { count, .. } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    *count += 1;
-    Ok(())
-}
-
-fn step_sum(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Agg {
-        count,
-        sum_int,
-        sum_real,
-        saw_real,
-        ..
-    } = s
-    else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    *count += 1;
-    let Some(x) = value.as_real() else {
-        return Err(EngineError::type_error("number", &value, "aggregate"));
-    };
-    match &value {
-        Value::Integer(i) => *sum_int += i,
-        _ => {
-            *saw_real = true;
-            *sum_real += x;
-        }
-    }
-    Ok(())
-}
-
-fn step_max(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Agg { count, best, .. } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    *count += 1;
-    let Some(x) = value.as_real() else {
-        return Err(EngineError::type_error("number", &value, "aggregate"));
-    };
-    if best.as_ref().and_then(Value::as_real).is_none_or(|b| x > b) {
-        *best = Some(value);
-    }
-    Ok(())
-}
-
-fn step_min(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Agg { count, best, .. } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    *count += 1;
-    let Some(x) = value.as_real() else {
-        return Err(EngineError::type_error("number", &value, "aggregate"));
-    };
-    if best.as_ref().and_then(Value::as_real).is_none_or(|b| x < b) {
-        *best = Some(value);
-    }
-    Ok(())
-}
-
-fn step_radix(
-    s: &mut StageState,
-    value: Value,
-    from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::RadixCombine {
-        first,
-        second,
-        q_first,
-        q_second,
-    } = s
-    else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    match from {
-        Some(h) if h == *first => q_first.push_back(value),
-        Some(h) if h == *second => q_second.push_back(value),
-        _ => {
-            return Err(EngineError::Runtime(format!(
-                "radixcombine received an element from an unexpected producer {from:?}"
-            )))
-        }
-    }
-    while !q_first.is_empty() && !q_second.is_empty() {
-        let odd = q_first.pop_front().expect("non-empty");
-        let even = q_second.pop_front().expect("non-empty");
-        out.push(funcs::radix_combine(even, odd)?);
-    }
-    Ok(())
-}
-
-fn step_window(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Window(w) = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    out.extend(w.push(value)?);
-    Ok(())
-}
-
-fn step_take(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Take { remaining } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    if *remaining > 0 {
-        *remaining -= 1;
-        out.push(value);
-    }
-    Ok(())
-}
-
-fn step_bandwidth(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Bandwidth { bytes, last_nanos } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    crate::ops::bandwidth_accumulate(bytes, last_nanos, &value)
-}
-
-fn step_quantile(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    _out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Quantile { hist, .. } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    crate::ops::quantile_accumulate(hist, &value)
-}
-
-fn step_arith(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Arith { op, rhs } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    out.push(arith_apply(*op, value, rhs)?);
-    Ok(())
-}
-
-fn step_cmp(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Cmp { op, rhs } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    out.push(Value::Bool(cmp_apply(*op, &value, rhs)?));
-    Ok(())
-}
-
-fn step_filter(
-    s: &mut StageState,
-    value: Value,
-    _from: Option<SpHandle>,
-    out: &mut Vec<Value>,
-) -> Result<(), EngineError> {
-    let StageState::Filter { op, rhs } = s else {
-        unreachable!("fused program and stage states built from the same stage list")
-    };
-    if cmp_apply(*op, &value, rhs)? {
-        out.push(value);
-    }
-    Ok(())
-}
-
-/// The runtime's per-RP executor: the fused fast path by default, the
-/// interpreted chain as the `--fuse off` fallback.
-#[derive(Debug)]
-pub(crate) enum ExecChain {
-    /// Tier 3: the recursive interpreter.
-    Interpreted(StageChain),
-    /// Tier 2: the fused jump-table chain.
-    Fused(FusedChain),
-}
-
-impl ExecChain {
-    /// Builds the executor selected by `fuse` for a prepared program.
-    pub(crate) fn new(program: &FusedProgram, fuse: bool) -> ExecChain {
-        if fuse {
-            ExecChain::Fused(FusedChain::new(program))
-        } else {
-            ExecChain::Interpreted(StageChain::from_stages(&program.stages))
-        }
-    }
-
-    /// Feeds one element through, appending outputs to `out`.
-    pub(crate) fn process_into(
-        &mut self,
-        value: Value,
-        from: Option<SpHandle>,
-        out: &mut Vec<Value>,
-    ) -> Result<(), EngineError> {
-        match self {
-            ExecChain::Interpreted(c) => {
-                out.extend(c.process(value, from)?);
-                Ok(())
-            }
-            ExecChain::Fused(f) => f.process_into(value, from, out),
-        }
-    }
-
-    /// The fused chain, when it has a columnar shape — the runtime's
-    /// one door to admission and the columnar walk. `None` for the
-    /// interpreted reference (always) and for scalar-shaped chains, so
-    /// the runtime skips transposing runs no batch could use.
-    pub(crate) fn columnar(&mut self) -> Option<&mut FusedChain> {
-        match self {
-            ExecChain::Fused(f) if f.shape.is_some() => Some(f),
-            _ => None,
-        }
-    }
-
-    /// Signals end of stream; aggregates flush.
-    pub(crate) fn finish(&mut self) -> Result<Vec<Value>, EngineError> {
-        match self {
-            ExecChain::Interpreted(c) => c.finish(),
-            ExecChain::Fused(f) => f.finish(),
-        }
-    }
-
-    /// Walks the executor's mutable state through a coalescing probe.
-    pub(crate) fn probe(
-        &mut self,
-        p: &mut StateProbe<'_>,
-        probe_value: &mut dyn FnMut(&Value, &mut StateProbe<'_>),
-    ) {
-        match self {
-            ExecChain::Interpreted(c) => c.probe(p, probe_value),
-            ExecChain::Fused(f) => f.probe(p, probe_value),
-        }
-    }
-
-    /// Allocates explain-analyze tally slots (one per stage). Before
-    /// this call the tally slice is empty and every update is a no-op
-    /// bounds check.
-    pub(crate) fn enable_profiling(&mut self) {
-        match self {
-            ExecChain::Interpreted(c) => c.enable_profiling(),
-            ExecChain::Fused(f) => f.chain.enable_profiling(),
-        }
-    }
-
-    /// The per-stage tallies (empty unless profiling is enabled).
-    pub(crate) fn tally(&self) -> &[crate::profile::StageTally] {
-        match self {
-            ExecChain::Interpreted(c) => &c.tally,
-            ExecChain::Fused(f) => &f.chain.tally,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::InputKind;
+    use crate::ops::{InputKind, Pipeline};
 
     fn pipeline(stages: Vec<Stage>) -> Pipeline {
         Pipeline {
@@ -1161,8 +811,7 @@ mod tests {
         feed: &[(Value, Option<SpHandle>)],
     ) -> (Vec<Value>, Vec<Value>) {
         let p = pipeline(stages);
-        let program = FusedProgram::compile(&p);
-        let mut fused = FusedChain::new(&program);
+        let mut fused = FusedChain::new(&p.stages);
         let mut interp = StageChain::new(&p);
         let mut fused_out = Vec::new();
         for (v, from) in feed {
@@ -1206,8 +855,7 @@ mod tests {
     #[test]
     fn fused_type_errors_match_interpreted() {
         let p = pipeline(vec![Stage::Agg(AggKind::Sum)]);
-        let program = FusedProgram::compile(&p);
-        let mut fused = FusedChain::new(&program);
+        let mut fused = FusedChain::new(&p.stages);
         let mut interp = StageChain::new(&p);
         let mut out = Vec::new();
         let fe = fused
@@ -1228,7 +876,7 @@ mod tests {
             },
             Stage::Agg(AggKind::Count),
         ]);
-        let mut model = FusedProgram::compile(&p).cost_model();
+        let mut model = CostModel::new(&p.stages);
         for elem_bytes in [0u64, 8, 1000, 1001, 1_000_000] {
             let mut bytes = elem_bytes;
             let mut want = 0u64;
@@ -1263,7 +911,7 @@ mod tests {
     #[test]
     fn cost_model_is_free_without_costly_stages() {
         let p = pipeline(vec![Stage::Agg(AggKind::Count), Stage::StreamOf]);
-        let mut model = FusedProgram::compile(&p).cost_model();
+        let mut model = CostModel::new(&p.stages);
         assert_eq!(model.cost(123_456), 0);
     }
 }

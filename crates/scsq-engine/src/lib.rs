@@ -54,9 +54,7 @@ pub use builder::{QueryBuilder, QueryGraph, SpSpec};
 pub use coordinator::{ClientManager, Coordinator, PreparedQuery};
 pub use error::EngineError;
 pub use explain::{describe_pipeline, explain_graph};
-pub use fused::{
-    admission_verdicts, Admitted, CostModel, FusedChain, FusedProgram, Terminal, Walked,
-};
+pub use fused::{admission_verdicts, Admitted, CostModel, FusedChain, Terminal, Walked};
 pub use introspect::{ChannelMetrics, MetricsSnapshot};
 pub use measure::{ChannelReport, QueryResult, QueryStats, RpReport};
 pub use ops::{AggKind, ArithOp, CmpOp, InputKind, MapFunc, Pipeline, Stage};

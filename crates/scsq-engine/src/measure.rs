@@ -80,7 +80,7 @@ pub struct QueryStats {
     pub rps: usize,
     /// What the train coalescer did (all zero when it was disabled).
     pub coalesce: scsq_sim::CoalesceStats,
-    /// Whether stage chains ran as fused programs (`RunOptions::fuse`).
+    /// Whether stage chains ran fused, breadth-first (`RunOptions::fuse`).
     pub fused: bool,
     /// Delivered batches absorbed or relayed by the columnar fast path
     /// (0 when `RunOptions::columnar` was off or nothing qualified).

@@ -107,13 +107,6 @@ pub enum AggKind {
     Avg,
 }
 
-impl AggKind {
-    /// Whether elements must be numbers.
-    pub fn numeric(self) -> bool {
-        !matches!(self, AggKind::Count)
-    }
-}
-
 /// Elementwise arithmetic against a constant (`arith(s, op, k)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
@@ -204,8 +197,8 @@ impl CmpOp {
 
 /// Applies `value op rhs`. Integer ⊕ integer stays integer (wrapping,
 /// like the column kernels); any real operand widens to real. The single
-/// source of truth shared by the interpreted chain, the fused step
-/// functions, and mirrored exactly by the columnar kernels.
+/// source of truth for `arith` on both per-element executors (through
+/// [`StageState::step`]), mirrored exactly by the columnar kernels.
 pub(crate) fn arith_apply(op: ArithOp, value: Value, rhs: &Value) -> Result<Value, EngineError> {
     match (&value, rhs) {
         (Value::Integer(a), Value::Integer(b)) => Ok(Value::Integer(match op {
@@ -349,10 +342,12 @@ impl Pipeline {
     }
 }
 
-/// Runtime state of one stage. Shared between the interpreted chain
-/// below and the fused jump-table chain (`crate::fused`): both mutate
-/// the same representation, so probes and aggregate flushes are
-/// identical by construction regardless of which executor ran.
+/// Runtime state of one stage, and through [`StageState::step`] the one
+/// definition of what the stage does to each element. Both per-element
+/// executors — the depth-first [`StageChain`] below and the breadth-first
+/// scratch loop of `crate::fused::FusedChain` — call `step` on the same
+/// states, so outputs, errors, probes and flushes agree by construction
+/// whichever executor ran.
 #[derive(Debug)]
 pub(crate) enum StageState {
     Map(MapFunc),
@@ -403,6 +398,149 @@ pub(crate) enum StageState {
     },
 }
 
+impl StageState {
+    /// Fresh runtime state for one compiled stage.
+    fn new(stage: &Stage) -> StageState {
+        match stage {
+            Stage::Map(f) => StageState::Map(*f),
+            Stage::Agg(kind) => StageState::Agg {
+                kind: *kind,
+                count: 0,
+                sum_int: 0,
+                sum_real: 0.0,
+                saw_real: false,
+                best: None,
+            },
+            Stage::StreamOf => StageState::StreamOf,
+            Stage::RadixCombine { first, second } => StageState::RadixCombine {
+                first: *first,
+                second: *second,
+                q_first: VecDeque::new(),
+                q_second: VecDeque::new(),
+            },
+            Stage::Window(spec) => StageState::Window(WindowState::new(*spec)),
+            Stage::Take { limit } => StageState::Take { remaining: *limit },
+            Stage::Bandwidth => StageState::Bandwidth {
+                bytes: 0,
+                last_nanos: 0,
+            },
+            Stage::Arith { op, rhs } => StageState::Arith {
+                op: *op,
+                rhs: rhs.clone(),
+            },
+            Stage::Cmp { op, rhs } => StageState::Cmp {
+                op: *op,
+                rhs: rhs.clone(),
+            },
+            Stage::Filter { op, rhs } => StageState::Filter {
+                op: *op,
+                rhs: rhs.clone(),
+            },
+            Stage::Quantile { q } => StageState::Quantile {
+                q: *q,
+                hist: Box::new(LatencyHistogram::new()),
+            },
+        }
+    }
+
+    /// Feeds one element (from producer `from`, if any) to this stage,
+    /// appending whatever it emits to `out`. Aggregates only accumulate
+    /// here; they emit in [`StageChain::finish`].
+    ///
+    /// # Errors
+    ///
+    /// Type errors when the element does not fit the stage, and
+    /// `radixcombine` elements from a producer it does not pair.
+    pub(crate) fn step(
+        &mut self,
+        value: Value,
+        from: Option<SpHandle>,
+        out: &mut Vec<Value>,
+    ) -> Result<(), EngineError> {
+        let number = |v: &Value| {
+            v.as_real()
+                .ok_or_else(|| EngineError::type_error("number", v, "aggregate"))
+        };
+        match self {
+            StageState::Map(f) => out.push(funcs::apply_map(*f, value)?),
+            StageState::StreamOf => out.push(value),
+            StageState::Agg {
+                kind,
+                count,
+                sum_int,
+                sum_real,
+                saw_real,
+                best,
+            } => {
+                *count += 1;
+                match kind {
+                    AggKind::Count => {}
+                    AggKind::Sum | AggKind::Avg => match value {
+                        Value::Integer(i) => *sum_int += i,
+                        _ => {
+                            *sum_real += number(&value)?;
+                            *saw_real = true;
+                        }
+                    },
+                    AggKind::Max | AggKind::Min => {
+                        let x = number(&value)?;
+                        let better = best.as_ref().and_then(Value::as_real).is_none_or(|b| {
+                            if *kind == AggKind::Max {
+                                x > b
+                            } else {
+                                x < b
+                            }
+                        });
+                        if better {
+                            *best = Some(value);
+                        }
+                    }
+                }
+            }
+            StageState::RadixCombine {
+                first,
+                second,
+                q_first,
+                q_second,
+            } => {
+                match from {
+                    Some(h) if h == *first => q_first.push_back(value),
+                    Some(h) if h == *second => q_second.push_back(value),
+                    _ => {
+                        return Err(EngineError::Runtime(format!(
+                            "radixcombine received an element from an unexpected producer {from:?}"
+                        )))
+                    }
+                }
+                while !q_first.is_empty() && !q_second.is_empty() {
+                    let odd = q_first.pop_front().expect("non-empty");
+                    let even = q_second.pop_front().expect("non-empty");
+                    out.push(funcs::radix_combine(even, odd)?);
+                }
+            }
+            StageState::Window(w) => out.extend(w.push(value)?),
+            StageState::Take { remaining } => {
+                if *remaining > 0 {
+                    *remaining -= 1;
+                    out.push(value);
+                }
+            }
+            StageState::Bandwidth { bytes, last_nanos } => {
+                bandwidth_accumulate(bytes, last_nanos, &value)?;
+            }
+            StageState::Arith { op, rhs } => out.push(arith_apply(*op, value, rhs)?),
+            StageState::Cmp { op, rhs } => out.push(Value::Bool(cmp_apply(*op, &value, rhs)?)),
+            StageState::Filter { op, rhs } => {
+                if cmp_apply(*op, &value, rhs)? {
+                    out.push(value);
+                }
+            }
+            StageState::Quantile { hist, .. } => quantile_accumulate(hist, &value)?,
+        }
+        Ok(())
+    }
+}
+
 /// Builds one `metrics(p)` delivery sample: a bag `{channel, time_ns,
 /// bytes}`. The runtime emits these; [`Stage::Bandwidth`] consumes them.
 pub(crate) fn metric_sample(channel: usize, time_nanos: u64, bytes: u64) -> Value {
@@ -426,7 +564,7 @@ pub(crate) fn metric_sample_parts(value: &Value) -> Option<(u64, u64)> {
 }
 
 /// Folds one sample into a [`StageState::Bandwidth`] accumulator.
-/// Shared by the interpreted and fused executors.
+/// Shared by [`StageState::step`] and the columnar fold kernels.
 pub(crate) fn bandwidth_accumulate(
     bytes: &mut u64,
     last_nanos: &mut u64,
@@ -459,7 +597,7 @@ pub(crate) fn quantile_value(value: &Value) -> Result<u64, EngineError> {
 }
 
 /// Folds one element into a [`StageState::Quantile`] histogram.
-/// Shared by the interpreted and fused executors.
+/// Shared by [`StageState::step`] and the columnar fold kernels.
 pub(crate) fn quantile_accumulate(
     hist: &mut LatencyHistogram,
     value: &Value,
@@ -485,52 +623,9 @@ impl StageChain {
     }
 
     /// Instantiates runtime state for a bare stage list.
-    pub(crate) fn from_stages(stage_list: &[Stage]) -> StageChain {
-        let stages = stage_list
-            .iter()
-            .map(|s| match s {
-                Stage::Map(f) => StageState::Map(*f),
-                Stage::Agg(kind) => StageState::Agg {
-                    kind: *kind,
-                    count: 0,
-                    sum_int: 0,
-                    sum_real: 0.0,
-                    saw_real: false,
-                    best: None,
-                },
-                Stage::StreamOf => StageState::StreamOf,
-                Stage::RadixCombine { first, second } => StageState::RadixCombine {
-                    first: *first,
-                    second: *second,
-                    q_first: VecDeque::new(),
-                    q_second: VecDeque::new(),
-                },
-                Stage::Window(spec) => StageState::Window(WindowState::new(*spec)),
-                Stage::Take { limit } => StageState::Take { remaining: *limit },
-                Stage::Bandwidth => StageState::Bandwidth {
-                    bytes: 0,
-                    last_nanos: 0,
-                },
-                Stage::Arith { op, rhs } => StageState::Arith {
-                    op: *op,
-                    rhs: rhs.clone(),
-                },
-                Stage::Cmp { op, rhs } => StageState::Cmp {
-                    op: *op,
-                    rhs: rhs.clone(),
-                },
-                Stage::Filter { op, rhs } => StageState::Filter {
-                    op: *op,
-                    rhs: rhs.clone(),
-                },
-                Stage::Quantile { q } => StageState::Quantile {
-                    q: *q,
-                    hist: Box::new(LatencyHistogram::new()),
-                },
-            })
-            .collect();
+    pub(crate) fn from_stages(stages: &[Stage]) -> StageChain {
         StageChain {
-            stages,
+            stages: stages.iter().map(StageState::new).collect(),
             tally: Vec::new(),
         }
     }
@@ -556,6 +651,8 @@ impl StageChain {
         Self::feed(&mut self.stages, &mut self.tally, 0, value, from)
     }
 
+    /// Depth-first executor: steps stage `idx`, then recurses into the
+    /// rest of the chain for each output in turn.
     fn feed(
         stages: &mut [StageState],
         tally: &mut [crate::profile::StageTally],
@@ -563,112 +660,19 @@ impl StageChain {
         value: Value,
         from: Option<SpHandle>,
     ) -> Result<Vec<Value>, EngineError> {
-        let Some((stage, rest)) = stages[idx..].split_first_mut() else {
+        let Some(stage) = stages.get_mut(idx) else {
             return Ok(vec![value]);
         };
-        let outputs: Vec<Value> = match stage {
-            StageState::Map(f) => vec![funcs::apply_map(*f, value)?],
-            StageState::StreamOf => vec![value],
-            StageState::Agg {
-                kind,
-                count,
-                sum_int,
-                sum_real,
-                saw_real,
-                best,
-            } => {
-                *count += 1;
-                if kind.numeric() {
-                    let Some(x) = value.as_real() else {
-                        return Err(EngineError::type_error("number", &value, "aggregate"));
-                    };
-                    match kind {
-                        AggKind::Count => unreachable!("count is not numeric"),
-                        AggKind::Sum | AggKind::Avg => match &value {
-                            Value::Integer(i) => *sum_int += i,
-                            _ => {
-                                *saw_real = true;
-                                *sum_real += x;
-                            }
-                        },
-                        AggKind::Max => {
-                            let better =
-                                best.as_ref().and_then(Value::as_real).is_none_or(|b| x > b);
-                            if better {
-                                *best = Some(value);
-                            }
-                        }
-                        AggKind::Min => {
-                            let better =
-                                best.as_ref().and_then(Value::as_real).is_none_or(|b| x < b);
-                            if better {
-                                *best = Some(value);
-                            }
-                        }
-                    }
-                }
-                Vec::new()
-            }
-            StageState::RadixCombine {
-                first,
-                second,
-                q_first,
-                q_second,
-            } => {
-                match from {
-                    Some(h) if h == *first => q_first.push_back(value),
-                    Some(h) if h == *second => q_second.push_back(value),
-                    _ => {
-                        return Err(EngineError::Runtime(format!(
-                            "radixcombine received an element from an unexpected producer {from:?}"
-                        )))
-                    }
-                }
-                let mut out = Vec::new();
-                while !q_first.is_empty() && !q_second.is_empty() {
-                    let odd = q_first.pop_front().expect("non-empty");
-                    let even = q_second.pop_front().expect("non-empty");
-                    out.push(funcs::radix_combine(even, odd)?);
-                }
-                out
-            }
-            StageState::Window(w) => w.push(value)?,
-            StageState::Take { remaining } => {
-                if *remaining > 0 {
-                    *remaining -= 1;
-                    vec![value]
-                } else {
-                    Vec::new()
-                }
-            }
-            StageState::Bandwidth { bytes, last_nanos } => {
-                bandwidth_accumulate(bytes, last_nanos, &value)?;
-                Vec::new()
-            }
-            StageState::Arith { op, rhs } => vec![arith_apply(*op, value, rhs)?],
-            StageState::Cmp { op, rhs } => vec![Value::Bool(cmp_apply(*op, &value, rhs)?)],
-            StageState::Filter { op, rhs } => {
-                if cmp_apply(*op, &value, rhs)? {
-                    vec![value]
-                } else {
-                    Vec::new()
-                }
-            }
-            StageState::Quantile { hist, .. } => {
-                quantile_accumulate(hist, &value)?;
-                Vec::new()
-            }
-        };
+        let mut outputs = Vec::new();
+        stage.step(value, from, &mut outputs)?;
         if let Some(t) = tally.get_mut(idx) {
             t.calls += 1;
             t.elems_in += 1;
             t.elems_out += outputs.len() as u64;
         }
-        let next = idx + 1;
-        let _ = rest;
         let mut result = Vec::new();
         for v in outputs {
-            result.extend(Self::feed(stages, tally, next, v, from)?);
+            result.extend(Self::feed(stages, tally, idx + 1, v, from)?);
         }
         Ok(result)
     }

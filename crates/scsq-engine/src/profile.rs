@@ -7,7 +7,7 @@
 //! time spent inside the stage chain. Counts are maintained by the
 //! executors themselves ([`StageTally`] slots inside the stage chain),
 //! so they are exact for all three tiers: the interpreted recursion
-//! counts per element, the fused jump table per scratch pass, and the
+//! counts per element, the fused breadth-first loop per scratch pass, and the
 //! columnar folds per admitted batch (with semantic element counts —
 //! a filter's output is its selection length, a `take`'s the rows it
 //! kept).

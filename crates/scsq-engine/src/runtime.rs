@@ -15,7 +15,7 @@ use crate::builder::QueryGraph;
 use crate::coordinator::Coordinator;
 use crate::error::EngineError;
 use crate::funcs;
-use crate::fused::{CostModel, ExecChain, FusedProgram, Terminal, Walked};
+use crate::fused::{CostModel, FusedChain, Terminal, Walked};
 use crate::measure::{ChannelReport, QueryResult, QueryStats};
 use crate::ops::{InputKind, Pipeline};
 use scsq_cluster::{ClusterName, Environment, NodeId};
@@ -52,9 +52,11 @@ pub struct RunOptions {
     /// events). Disable to force per-event execution, e.g. when
     /// measuring the uncoalesced baseline.
     pub coalesce: bool,
-    /// Execute stage chains as fused jump-table programs instead of the
-    /// recursive interpreter. Identical outputs either way; disable to
-    /// measure the interpreted baseline (`--fuse off`).
+    /// Drive stage chains breadth-first over reusable scratch buffers
+    /// (the fused chain) instead of through the recursive interpreter.
+    /// Both executors call the same per-stage `step`, so outputs are
+    /// identical either way; disable to measure the interpreted baseline
+    /// (`--fuse off`).
     pub fuse: bool,
     /// Absorb whole delivered batches with one dispatch per typed
     /// column when the destination's fused chain qualifies (aggregate
@@ -109,7 +111,7 @@ struct GenRt {
 
 struct RpState {
     node: NodeId,
-    chain: ExecChain,
+    chain: FusedChain,
     /// Compiled compute-cost accounting for the stage chain.
     cost: CostModel,
     /// Output channel indices.
@@ -506,7 +508,6 @@ pub fn run_graph(
     let mut flow_counter = 0u64;
 
     let mut make_rp = |pipeline: &Pipeline,
-                       program: &FusedProgram,
                        node: NodeId,
                        dst_rp: usize,
                        is_client: bool,
@@ -585,14 +586,14 @@ pub fn run_graph(
             // synthesized by `deliver` as observed channels deliver.
             InputKind::Metrics { .. } | InputKind::Latency { .. } => (None, Vec::new()),
         };
-        let mut chain = ExecChain::new(program, options.fuse);
+        let mut chain = FusedChain::for_run(&pipeline.stages, options.fuse);
         if options.profile {
             chain.enable_profiling();
         }
         Ok(RpState {
             node,
             chain,
-            cost: program.cost_model(),
+            cost: CostModel::new(&pipeline.stages),
             outputs: Vec::new(),
             eos_remaining: producers.len(),
             gen,
@@ -608,7 +609,6 @@ pub fn run_graph(
     for (i, sp) in graph.sps.iter().enumerate() {
         let rp = make_rp(
             &sp.pipeline,
-            &sp.program,
             sp.node,
             i,
             false,
@@ -620,7 +620,6 @@ pub fn run_graph(
     }
     let client = make_rp(
         &graph.client,
-        &graph.client_program,
         graph.client_node,
         client_rp,
         true,
@@ -1214,7 +1213,7 @@ fn deliver_value_run(
     run: &mut Vec<Value>,
     now: SimTime,
 ) {
-    if world.columnar && run.len() > 1 && world.rps[dst].chain.columnar().is_some() {
+    if world.columnar && run.len() > 1 && world.rps[dst].chain.is_columnar() {
         let cols = ColumnarBatch::from_values(run);
         world.columnar_transposes += 1;
         if deliver_columns(world, sim, dst, &cols, now) {
@@ -1279,10 +1278,7 @@ fn deliver_columns(
     now: SimTime,
 ) -> bool {
     let rp = &mut world.rps[dst];
-    let Some(chain) = rp.chain.columnar() else {
-        return false;
-    };
-    let Some(admit) = chain.admit(cols) else {
+    let Some(admit) = rp.chain.admit(cols) else {
         return false;
     };
     if admit.terminal == Terminal::Emit && rp.is_client {
@@ -1304,7 +1300,7 @@ fn deliver_columns(
     rp.elements_in += n;
     world.columnar_batches += 1;
     let t0 = world.profile.then(std::time::Instant::now);
-    let walked = chain.walk(admit);
+    let walked = rp.chain.walk(admit);
     if let Some(t0) = t0 {
         rp.wall_ns += t0.elapsed().as_nanos() as u64;
     }

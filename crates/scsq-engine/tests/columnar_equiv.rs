@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use scsq_engine::ops::{AggKind, MapFunc, Pipeline, Stage, StageChain};
-use scsq_engine::{admission_verdicts, ArithOp, CmpOp, FusedChain, FusedProgram, Terminal, Walked};
+use scsq_engine::{admission_verdicts, ArithOp, CmpOp, FusedChain, Terminal, Walked};
 use scsq_ql::{ColumnarBatch, SpHandle, Value};
 
 fn agg() -> impl Strategy<Value = AggKind> {
@@ -146,7 +146,7 @@ fn pipeline(stages: Vec<Stage>) -> Pipeline {
 fn assert_equivalent(stages: Vec<Stage>, batches: Vec<Vec<Value>>) -> Result<(), TestCaseError> {
     let pipeline = pipeline(stages);
     let mut interpreted = StageChain::new(&pipeline);
-    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
+    let mut fused = FusedChain::new(&pipeline.stages);
 
     for values in batches {
         // Reference: the interpreter, one element at a time.
@@ -319,7 +319,7 @@ fn columnar_pass_absorbs_metric_batches() {
     };
     let values = vec![sample(100, 10), sample(250, 20), sample(900, 30)];
 
-    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
+    let mut fused = FusedChain::new(&pipeline.stages);
     let admit = fused
         .admit(&ColumnarBatch::from_values(&values))
         .expect("a metric run into bandwidth is admitted");
@@ -343,7 +343,7 @@ fn relay_chains_decline_the_columnar_pass() {
         vec![Stage::Take { limit: 4 }],
         vec![Stage::StreamOf, Stage::Take { limit: 4 }],
     ] {
-        let fused = FusedChain::new(&FusedProgram::compile(&pipeline(stages)));
+        let fused = FusedChain::new(&stages);
         let values: Vec<Value> = (0..6).map(Value::Integer).collect();
         assert!(fused.admit(&ColumnarBatch::from_values(&values)).is_none());
     }
@@ -393,7 +393,7 @@ fn admission_agrees_with_explain_verdicts() {
             assert!(verdicts.iter().all(|v| v.starts_with("scalar: ")));
             None
         };
-        let fused = FusedChain::new(&FusedProgram::compile(&pipeline(stages.clone())));
+        let fused = FusedChain::new(&stages);
         assert_eq!(
             fused.admit(&cols).map(|a| a.terminal),
             expected,

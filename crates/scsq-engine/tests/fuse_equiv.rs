@@ -1,16 +1,22 @@
-//! Property-based equivalence of the fused stage programs.
+//! Property-based equivalence of the two per-element executors.
 //!
-//! `FusedChain` lowers a pipeline's stage chain into a jump table of
-//! direct step functions at prepare time; its contract is that for any
-//! stage chain and any input stream it produces exactly the same
-//! outputs, end-of-stream flush, and errors as the interpreted
-//! [`StageChain`] reference — including error *messages*, because the
-//! runtime surfaces them to the client verbatim.
+//! Every stage's per-element semantics live once, in the engine's
+//! `StageState::step`. Two executors call it: the interpreted
+//! [`StageChain`] recurses depth-first (each output of a stage runs
+//! through the rest of the chain before the next), and [`FusedChain`]
+//! runs breadth-first over reusable scratch buffers (each stage
+//! consumes every pending element before the next stage runs). Stages
+//! are order-preserving stateful flat-maps, so for any stage chain and
+//! any input stream both executors must produce exactly the same
+//! outputs, end-of-stream flush, and errors — including error
+//! *messages*, because the runtime surfaces them to the client
+//! verbatim. The strategies below draw every stage kind, so every arm
+//! of `step` is compared.
 
 use proptest::prelude::*;
 use scsq_engine::ops::{AggKind, MapFunc, Pipeline, Stage, StageChain};
 use scsq_engine::window::WindowSpec;
-use scsq_engine::{FusedChain, FusedProgram};
+use scsq_engine::{ArithOp, CmpOp, FusedChain};
 use scsq_ql::{SpHandle, Value};
 
 /// Strategy over single stages (radix combine is covered by its own
@@ -31,6 +37,12 @@ fn stage() -> impl Strategy<Value = Stage> {
             Stage::Window(WindowSpec::new(size, slide, agg).expect("valid window"))
         }),
         (0u64..6).prop_map(|limit| Stage::Take { limit }),
+        (arith_op(), rhs()).prop_map(|(op, rhs)| Stage::Arith { op, rhs }),
+        (cmp_op(), rhs()).prop_map(|(op, rhs)| Stage::Cmp { op, rhs }),
+        (cmp_op(), rhs()).prop_map(|(op, rhs)| Stage::Filter { op, rhs }),
+        prop_oneof![Just(0.0), Just(0.5), Just(0.99), Just(1.0)]
+            .prop_map(|q| Stage::Quantile { q }),
+        Just(Stage::Bandwidth),
     ]
 }
 
@@ -44,9 +56,37 @@ fn agg() -> impl Strategy<Value = AggKind> {
     ]
 }
 
+fn arith_op() -> impl Strategy<Value = ArithOp> {
+    prop_oneof![Just(ArithOp::Add), Just(ArithOp::Sub), Just(ArithOp::Mul)]
+}
+
+fn cmp_op() -> impl Strategy<Value = CmpOp> {
+    prop_oneof![
+        Just(CmpOp::Lt),
+        Just(CmpOp::Le),
+        Just(CmpOp::Gt),
+        Just(CmpOp::Ge),
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+    ]
+}
+
+/// Constants for arith/cmp/filter stages: integer, real and string.
+/// A string constant compares against string elements, and makes
+/// arithmetic and numeric comparisons fail (an error-path probe).
+fn rhs() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-10i64..10).prop_map(Value::Integer),
+        (-10.0f64..10.0).prop_map(Value::Real),
+        Just(Value::Str("m".to_string())),
+    ]
+}
+
 /// Strategy over input values: the numeric kinds every stage accepts
-/// plus arrays (maps want them) and the kinds that make elementwise
-/// functions fail, so the error paths are exercised too.
+/// plus arrays (maps want them), strings on both sides of the `"m"`
+/// constant, metric samples (`bandwidth` wants them; negative fields
+/// make it fail), and the kinds that make elementwise functions fail,
+/// so the error paths are exercised too.
 fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         (-100i64..100).prop_map(Value::Integer),
@@ -55,12 +95,42 @@ fn value() -> impl Strategy<Value = Value> {
         proptest::collection::vec(-10.0f64..10.0, 1..9)
             .prop_map(|v| Value::Array(scsq_ql::ArrayData::Real(v))),
         any::<bool>().prop_map(Value::Bool),
-        Just(Value::Str("x".to_string())),
+        prop_oneof![Just("a"), Just("m"), Just("x")].prop_map(|s| Value::Str(s.to_string())),
+        metric(),
     ]
 }
 
-/// Feeds the same stream through the interpreted chain and the fused
-/// program, comparing per-element outputs, the first error, and the
+/// A `metrics(p)` sample bag; negative timestamps and byte counts are
+/// generated on purpose so the bandwidth error path is exercised.
+fn metric() -> impl Strategy<Value = Value> {
+    (-3i64..3, -50i64..500, -10i64..100).prop_map(|(c, t, b)| {
+        Value::Bag(vec![
+            Value::Integer(c),
+            Value::Integer(t),
+            Value::Integer(b),
+        ])
+    })
+}
+
+/// An input stream: mixed values, or a homogeneous run of the kinds
+/// `quantile`, `bandwidth` and string comparisons accept, so their
+/// accumulate-and-flush paths run to the end and not only to the first
+/// type error.
+fn stream() -> impl Strategy<Value = Vec<Value>> {
+    prop_oneof![
+        proptest::collection::vec(value(), 0..12),
+        proptest::collection::vec((0i64..1000).prop_map(Value::Integer), 0..12),
+        proptest::collection::vec((0.0f64..1000.0).prop_map(Value::Real), 0..12),
+        proptest::collection::vec(metric(), 0..12),
+        proptest::collection::vec(
+            prop_oneof![Just("a"), Just("m"), Just("z")].prop_map(|s| Value::Str(s.to_string())),
+            0..12
+        ),
+    ]
+}
+
+/// Feeds the same stream through the depth-first and breadth-first
+/// executors, comparing per-element outputs, the first error, and the
 /// end-of-stream flush.
 fn assert_equivalent(stages: Vec<Stage>, inputs: Vec<Value>) -> Result<(), TestCaseError> {
     let pipeline = Pipeline {
@@ -68,7 +138,7 @@ fn assert_equivalent(stages: Vec<Stage>, inputs: Vec<Value>) -> Result<(), TestC
         stages,
     };
     let mut interpreted = StageChain::new(&pipeline);
-    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
+    let mut fused = FusedChain::new(&pipeline.stages);
 
     for value in inputs {
         let reference = interpreted.process(value.clone(), None);
@@ -105,12 +175,13 @@ fn assert_equivalent(stages: Vec<Stage>, inputs: Vec<Value>) -> Result<(), TestC
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Fused and interpreted execution agree on outputs, flushes, and
-    /// errors over randomized stage chains and value streams.
+    /// Breadth-first and depth-first execution agree on outputs,
+    /// flushes, and errors over randomized stage chains and value
+    /// streams.
     #[test]
     fn fused_equals_interpreted(
         stages in proptest::collection::vec(stage(), 0..5),
-        inputs in proptest::collection::vec(value(), 0..12),
+        inputs in stream(),
     ) {
         assert_equivalent(stages, inputs)?;
     }
@@ -130,7 +201,7 @@ fn radix_combine_matches_interpreted() {
         stages: vec![Stage::RadixCombine { first, second }],
     };
     let mut interpreted = StageChain::new(&pipeline);
-    let mut fused = FusedChain::new(&FusedProgram::compile(&pipeline));
+    let mut fused = FusedChain::new(&pipeline.stages);
 
     let half = |n: u64| Value::Array(scsq_ql::ArrayData::Complex(vec![(n as f64, 0.0); 4]));
     for i in 0..6u64 {

@@ -16,6 +16,12 @@ echo "==> cargo test --workspace -q"
 # columnar_accounting, fuse_equiv and coalesce_equiv identity tests.
 cargo test --workspace -q
 
+echo "==> cargo test perfbench"
+# The benchmark crate is its own workspace, so the workspace tests never
+# compile it; build and test it here so an engine API change cannot
+# break the benchmark unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

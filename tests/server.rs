@@ -9,7 +9,7 @@
 
 use scsq::wire::{Client, FrameKind};
 use scsq_bench::serve::run_script;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -346,4 +346,48 @@ fn write_then_read_frames_through_a_live_daemon() {
         "server closes after BYE"
     );
     daemon.stop();
+}
+
+#[test]
+fn bad_connection_is_logged_and_the_daemon_keeps_serving() {
+    let mut daemon = Daemon::start();
+    let stderr = daemon.child.stderr.take().expect("scsqd stderr");
+
+    // A client announces a frame over the cap: the daemon ends that
+    // connection and says why on stderr.
+    let stream = std::net::TcpStream::connect(&daemon.addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let hello = scsq::wire::read_frame(&mut reader).unwrap().unwrap();
+    assert_eq!(hello.kind, FrameKind::Hello);
+    writeln!(writer, "STMT {}", scsq::wire::MAX_FRAME_LEN + 1).unwrap();
+    writer.flush().unwrap();
+    assert!(
+        !matches!(scsq::wire::read_frame(&mut reader), Ok(Some(_))),
+        "the daemon closes the bad connection without a reply"
+    );
+
+    // The next client is served as usual.
+    let mut c = daemon.connect();
+    let frames = c
+        .statement(
+            "select extract(b) from sp a, sp b \
+             where b=sp(streamof(count(extract(a))), 'bg', 0) \
+             and a=sp(gen_array(10000,4),'bg',1);",
+        )
+        .unwrap();
+    assert_eq!(
+        (frames[0].kind, frames[0].payload.as_str()),
+        (FrameKind::Row, "4")
+    );
+    c.bye().unwrap();
+    daemon.stop();
+
+    let mut log = String::new();
+    BufReader::new(stderr).read_to_string(&mut log).unwrap();
+    assert!(
+        log.contains("scsqd: connection failed")
+            && log.contains(&format!("exceeds {}", scsq::wire::MAX_FRAME_LEN)),
+        "stderr names the error: {log:?}"
+    );
 }
